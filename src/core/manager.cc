@@ -204,6 +204,18 @@ Result<InstanceId> Manager::AdmitJoin(const NodeAddress& new_instance,
   return fresh;
 }
 
+InstanceId Manager::PromotionTarget(PartitionId p, InstanceId leaving) const {
+  // First alive replica; data is already there because replication placed
+  // it (§III.H).
+  for (InstanceId candidate :
+       table_.ReplicaChain(p, options_.cluster.num_replicas + 1)) {
+    if (candidate != leaving && table_.Instance(candidate).alive) {
+      return candidate;
+    }
+  }
+  return leaving;
+}
+
 Status Manager::Depart(InstanceId id) {
   std::uint32_t epoch_before;
   NodeAddress departing;
@@ -229,14 +241,16 @@ Status Manager::Depart(InstanceId id) {
     }
     const PlacementPolicy& policy = GetPlacementPolicy(table_.placement());
     for (PartitionId p : table_.PartitionsOf(id)) {
-      InstanceId target =
-          policy.DesiredOwner(p, table_.num_partitions(), survivors);
-      moves.emplace_back(p, target);
-      // Reserve the assignment now so the table reflects the plan.
-      table_.SetOwner(p, target);
+      moves.emplace_back(
+          p, policy.DesiredOwner(p, table_.num_partitions(), survivors));
     }
   }
 
+  // Ownership changes only after the transfer's verdict: a partition whose
+  // transfer failed still lives on the departing instance, so it goes to
+  // the replica HandleFailure would promote — or, without replicas, stays
+  // and the departure fails.
+  Status failure;
   for (const auto& [p, target] : moves) {
     NodeAddress target_address;
     {
@@ -244,15 +258,34 @@ Status Manager::Depart(InstanceId id) {
       target_address = table_.Instance(target).address;
     }
     Status status = CommandMigration(departing, p, target_address);
-    if (!status.ok()) {
-      ZHT_WARN << "departure migration of partition " << p
-               << " failed: " << status.ToString();
-    }
-    PushTableTo(target_address, 0);
+    InstanceId owner = target;
+    std::uint32_t push_from;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.partitions_migrated;
+      if (!status.ok()) {
+        ZHT_WARN << "departure migration of partition " << p
+                 << " failed: " << status.ToString();
+        owner = options_.cluster.num_replicas > 0 ? PromotionTarget(p, id) : id;
+        if (owner == id) {
+          if (failure.ok()) failure = status;
+          continue;
+        }
+      }
+      push_from = table_.epoch() > 0 ? table_.epoch() - 1 : 0;
+      table_.SetOwner(p, owner);
+      if (status.ok()) ++stats_.partitions_migrated;
+      target_address = table_.Instance(owner).address;
     }
+    // As in AdmitJoin: the departing instance stops serving the partition
+    // and its new owner starts, before the final broadcast.
+    PushTableTo(departing, push_from);
+    PushTableTo(target_address, 0);
+  }
+  if (!failure.ok()) {
+    // Some partitions have no other copy: the instance keeps serving them
+    // and stays a member; report what moved.
+    BroadcastDelta(epoch_before);
+    return failure;
   }
 
   std::vector<PartitionId> chain_changed;
@@ -299,16 +332,7 @@ Status Manager::HandleFailure(InstanceId id) {
     }
     table_.MarkDead(id);
     for (PartitionId p : table_.PartitionsOf(id)) {
-      // First alive replica becomes the owner; data is already there
-      // because replication placed it (§III.H).
-      auto chain = table_.ReplicaChain(p, options_.cluster.num_replicas + 1);
-      InstanceId replacement = id;
-      for (InstanceId candidate : chain) {
-        if (candidate != id && table_.Instance(candidate).alive) {
-          replacement = candidate;
-          break;
-        }
-      }
+      const InstanceId replacement = PromotionTarget(p, id);
       if (replacement == id) {
         ZHT_ERROR << "partition " << p << " lost: no alive replica";
         continue;

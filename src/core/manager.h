@@ -60,7 +60,9 @@ class Manager {
 
   // Planned departure (§III.C): migrate the instance's partitions to the
   // owners the placement policy picks from the survivors, then mark it
-  // gone and broadcast.
+  // gone and broadcast. A partition whose transfer fails is promoted to
+  // its first other live replica, as on failure; with no replica it stays
+  // put, the instance stays a member, and the transfer's failure returns.
   Status Depart(InstanceId id);
 
   // Unplanned failure: reassign each of the dead instance's partitions to
@@ -95,6 +97,10 @@ class Manager {
 
   Status CommandMigration(const NodeAddress& source, PartitionId partition,
                           const NodeAddress& target);
+  // The first alive member of p's replica chain other than `leaving` (the
+  // failover promotion rule), or `leaving` when there is none; mu_ must be
+  // held.
+  InstanceId PromotionTarget(PartitionId p, InstanceId leaving) const;
   void PushTableTo(const NodeAddress& address, std::uint32_t since_epoch);
 
   // Replica chain (owner + replicas) of every partition, for diffing

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/log.h"
 #include "novoht/novoht.h"
 #include "serialize/batch.h"
@@ -15,7 +14,7 @@
 namespace zht {
 namespace {
 
-// Packs key/value pairs for MigrateData batches:
+// Packs key/value pairs for one kTransferData carrier:
 // varint count, then per pair: varint klen, varint vlen, key, value.
 std::string PackPairs(
     const std::vector<std::pair<std::string, std::string>>& pairs) {
@@ -73,14 +72,17 @@ bool IsDataOp(OpCode op) {
 // is the unit of single-threaded ownership, so dedup needs no lock).
 constexpr std::size_t kDedupWindow = 8192;
 
-// Streams issued per rebuild leg before the target is abandoned (the first
+// Streams issued per transfer leg before the target is abandoned (the first
 // attempt plus re-streams after a failed or mismatched End).
-constexpr int kRebuildMaxAttempts = 3;
+constexpr int kTransferMaxAttempts = 3;
 
-// Rebuild shadow stores live at the canonical partition id plus this offset,
-// so a persistent store factory gives them their own file path and they can
-// never collide with a live partition (partition counts are far smaller).
-constexpr PartitionId kShadowPartitionOffset = 1u << 20;
+// True once `table` names an owner other than `self` for `partition`: a
+// handed-off partition is released then.
+bool OwnedElsewhere(const MembershipTable& table, PartitionId partition,
+                    InstanceId self) {
+  return partition < table.num_partitions() &&
+         table.OwnerOf(partition) != self;
+}
 
 // Executor identity of the current thread, per server. A reactor registers
 // itself via EnterExecutorThread; every other thread reads as -1.
@@ -93,6 +95,21 @@ thread_local ExecutorTls tls_executor;
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 }  // namespace
+
+bool IsLegalTransition(PartitionState from, PartitionState to) {
+  using S = PartitionState;
+  switch (from) {
+    case S::kServing:
+      return to == S::kSending || to == S::kReceiving;
+    case S::kSending:
+      return to == S::kServing || to == S::kHandedOff;
+    case S::kHandedOff:
+      return to == S::kServing;
+    case S::kReceiving:
+      return to == S::kReceiving || to == S::kServing;
+  }
+  return false;
+}
 
 StoreFactory MakeNoVoHTStoreFactory(std::string dir,
                                     const ClusterOptions& cluster) {
@@ -210,7 +227,7 @@ ZhtServer::~ZhtServer() {
   // variables are still alive: destroying a store joins its flusher
   // thread, which may still be exiting a signal (EnqueueFinisher,
   // OnRequestComplete) issued from its final durability callback.
-  for (auto& shard : shards_) shard->stores.clear();
+  for (auto& shard : shards_) shard->partitions.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +282,8 @@ void ZhtServer::Enqueue(Shard& shard, ShardTask task) {
   } else {
     shard.overflow.Push(std::move(task));
   }
-  shard.queued.fetch_add(1, std::memory_order_release);
+  // seq_cst: pairs with DrainShared's release-then-recheck (see there).
+  shard.queued.fetch_add(1, std::memory_order_seq_cst);
 }
 
 void ZhtServer::Kick(Shard& shard) {
@@ -294,10 +312,14 @@ void ZhtServer::DrainBound(Shard& shard) {
 void ZhtServer::DrainShared(Shard& shard) {
   // Unbound shards: whichever thread posts drains, serialized by a CAS on
   // `active`. A loser returns — the winner's drain loop covers its task.
-  while (shard.queued.load(std::memory_order_acquire) > 0) {
-    if (shard.active.exchange(true, std::memory_order_acquire)) return;
+  // That holds only if the winner's release of `active` and its re-check
+  // of `queued` are not reordered, nor the loser's count and claim (a
+  // store-load pair on each side): with weaker orders both can miss the
+  // other and a posted task strands with nobody left to drain it.
+  while (shard.queued.load(std::memory_order_seq_cst) > 0) {
+    if (shard.active.exchange(true, std::memory_order_seq_cst)) return;
     const std::size_t ran = DrainAll(shard);
-    shard.active.store(false, std::memory_order_release);
+    shard.active.store(false, std::memory_order_seq_cst);
     // queued > 0 with nothing poppable means a producer is mid-push (the
     // MPSC link window); give it a beat and re-check.
     if (ran == 0) std::this_thread::yield();
@@ -438,30 +460,6 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
     case OpCode::kMembershipPush:
       StartMembershipPush(std::move(request), std::move(finish));
       return;
-    case OpCode::kMigrateBegin: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecMigrateBegin(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kMigrateData: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecMigrateData(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kMigrateEnd: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecMigrateEnd(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
     case OpCode::kMigrateOut: {
       const std::uint64_t seq = request.seq;
       auto target = NodeAddress::Parse(request.value);
@@ -500,38 +498,22 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
       });
       return;
     }
-    case OpCode::kDigest: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecDigest(sh, std::move(request), std::move(done));
-           });
+    case OpCode::kDigest:
+      PostPartitionOp(&ZhtServer::ExecDigest, std::move(request),
+                      std::move(finish));
       return;
-    }
-    case OpCode::kRebuildBegin: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecRebuildBegin(sh, std::move(request), std::move(done));
-           });
+    case OpCode::kTransferBegin:
+      PostPartitionOp(&ZhtServer::ExecTransferBegin, std::move(request),
+                      std::move(finish));
       return;
-    }
-    case OpCode::kRebuildData: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecRebuildData(sh, std::move(request), std::move(done));
-           });
+    case OpCode::kTransferData:
+      PostPartitionOp(&ZhtServer::ExecTransferData, std::move(request),
+                      std::move(finish));
       return;
-    }
-    case OpCode::kRebuildEnd: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecRebuildEnd(sh, std::move(request), std::move(done));
-           });
+    case OpCode::kTransferEnd:
+      PostPartitionOp(&ZhtServer::ExecTransferEnd, std::move(request),
+                      std::move(finish));
       return;
-    }
     case OpCode::kBroadcast: {
       Post(ShardForPartition(space_.PartitionOfKey(request.key)),
            [this, request = std::move(request),
@@ -567,25 +549,17 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
   }
 }
 
+void ZhtServer::PostPartitionOp(PartitionOpHandler exec, Request&& request,
+                                ResponseCallback done) {
+  Post(ShardForPartition(request.partition),
+       [this, exec, request = std::move(request),
+        done = std::move(done)](Shard& sh) mutable {
+         (this->*exec)(sh, std::move(request), std::move(done));
+       });
+}
+
 Response ZhtServer::Handle(Request&& request) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Response response;
-  };
-  auto latch = std::make_shared<Latch>();
-  HandleAsync(std::move(request), [latch](Response&& response) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->response = std::move(response);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return std::move(latch->response);
+  return CallBlocking(AsyncHandler(), std::move(request));
 }
 
 // ---------------------------------------------------------------------------
@@ -670,57 +644,79 @@ bool ZhtServer::IsDuplicateAppend(Shard& shard, const Request& request) {
   return false;
 }
 
-KVStore* ZhtServer::StoreIn(Shard& shard, PartitionId partition) {
-  auto it = shard.stores.find(partition);
-  if (it != shard.stores.end()) return it->second.get();
-  std::shared_ptr<KVStore> store =
-      options_.store_factory(options_.self, partition);
-  KVStore* raw = store.get();
-  shard.stores.emplace(partition, std::move(store));
-  return raw;
+KVStore* ZhtServer::StoreOf(PartitionRecord& record, PartitionId partition) {
+  if (!record.store) {
+    record.store = options_.store_factory(options_.self, partition);
+  }
+  return record.store.get();
 }
 
-std::shared_ptr<KVStore> ZhtServer::ShadowStoreIn(Shard& shard,
-                                                  PartitionId partition) {
-  auto it = shard.shadow_stores.find(partition);
-  if (it != shard.shadow_stores.end()) return it->second;
-  std::shared_ptr<KVStore> store =
-      options_.store_factory(options_.self, partition + kShadowPartitionOffset);
-  shard.shadow_stores.emplace(partition, store);
-  return store;
+KVStore* ZhtServer::ShadowOf(PartitionRecord& record, PartitionId partition) {
+  if (!record.shadow) {
+    record.shadow = options_.store_factory(
+        options_.self, space_.num_partitions() + partition);
+    // A persistent factory may reload a landing pad an earlier process
+    // left behind; a transfer starts from an empty one.
+    if (record.shadow && !record.shadow->Clear().ok()) record.shadow.reset();
+  }
+  return record.shadow.get();
 }
 
-void ZhtServer::ReleaseStuckRebuilds(Shard& shard) {
-  for (auto it = shard.rebuilding.begin(); it != shard.rebuilding.end();) {
-    const PartitionId partition = *it;
+bool ZhtServer::Transition(Shard& shard, PartitionId partition,
+                           PartitionState to) {
+  PartitionRecord& record = shard.partitions[partition];
+  const PartitionState from = record.state;
+  if (!IsLegalTransition(from, to)) return false;
+  if (from == PartitionState::kServing) {
+    // Entries cached so far describe a copy that is about to be frozen,
+    // handed off or replaced; no fills happen outside kServing.
+    CacheDropPartition(shard, partition);
+  }
+  if (from == PartitionState::kHandedOff && record.had_data) {
+    // The had_data rule: an ex-owner that stays in the replica chain has
+    // nothing left to serve failover reads from (its store was erased by
+    // the handoff), so it waits in kReceiving for the repair stream the
+    // manager commands.
     const auto chain =
         shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
-    if (!chain.empty() && chain[0] == options_.self) {
-      it = shard.rebuilding.erase(it);
-    } else {
-      ++it;
+    if (std::find(chain.begin(), chain.end(), options_.self) != chain.end()) {
+      to = PartitionState::kReceiving;
+    }
+  }
+  if (to != PartitionState::kHandedOff) record.had_data = false;
+  record.state = to;
+  if (to == PartitionState::kServing) {
+    shard.unsettled.erase(partition);
+  } else {
+    shard.unsettled.insert(partition);
+  }
+  return true;
+}
+
+void ZhtServer::ReconcileWithTable(Shard& shard) {
+  // A copy: Transition edits the index.
+  const std::vector<PartitionId> unsettled(shard.unsettled.begin(),
+                                           shard.unsettled.end());
+  for (PartitionId partition : unsettled) {
+    const PartitionRecord& record = shard.partitions[partition];
+    if (record.state == PartitionState::kHandedOff) {
+      if (OwnedElsewhere(shard.table, partition, options_.self)) {
+        Transition(shard, partition, PartitionState::kServing);
+      }
+    } else if (record.state == PartitionState::kReceiving) {
+      const auto chain =
+          shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
+      if (!chain.empty() && chain[0] == options_.self) {
+        Transition(shard, partition, PartitionState::kServing);
+      }
     }
   }
 }
 
-void ZhtServer::ReleaseCompletedHandoffs(Shard& shard) {
-  for (auto it = shard.handed_off.begin(); it != shard.handed_off.end();) {
-    const PartitionId partition = it->first;
-    if (partition < shard.table.num_partitions() &&
-        shard.table.OwnerOf(partition) != options_.self) {
-      const bool had_data = it->second;
-      it = shard.handed_off.erase(it);
-      ReleaseHandoff(shard, partition, had_data);
-    } else {
-      ++it;
-    }
-  }
-}
-
-Status ZhtServer::ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
-                               std::string_view key, std::string_view value,
-                               std::string* out) {
-  KVStore* store = StoreIn(shard, partition);
+Status ZhtServer::ApplyToStore(PartitionRecord& record, PartitionId partition,
+                               OpCode op, std::string_view key,
+                               std::string_view value, std::string* out) {
+  KVStore* store = StoreOf(record, partition);
   if (!store) return Status(StatusCode::kInternal, "store factory failed");
   switch (op) {
     case OpCode::kInsert:
@@ -768,13 +764,12 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   Response resp;
   resp.seq = request.seq;
   resp.epoch = route.epoch;
-  if (shard.migrating.count(route.partition) ||
-      shard.rebuilding.count(route.partition)) {
-    // Partition is locked mid-migration (§III.C "Data Migration") or mid-
-    // rebuild (between kRebuildBegin and kRebuildEnd): state cannot be
+  PartitionRecord& record = shard.partitions[route.partition];
+  if (record.state != PartitionState::kServing) {
+    // Partition mid-transfer (§III.C "Data Migration"): state cannot be
     // modified; the client backs off and retries, which realizes the
     // paper's request queueing at the sender. Rejecting reads too keeps a
-    // rebuilding replica from serving half-streamed state.
+    // receiving replica from serving half-streamed state.
     resp.status = Status(StatusCode::kMigrating).raw();
     done(std::move(resp));
     RecordDataOpLatency(op, start);
@@ -791,7 +786,7 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   }
 
   std::string lookup_value;
-  Status status = ApplyToStore(shard, op, route.partition, request.key,
+  Status status = ApplyToStore(record, route.partition, op, request.key,
                                request.value, &lookup_value);
   stats_.ops.fetch_add(1, kRelaxed);
   if (op == OpCode::kLookup) {
@@ -839,14 +834,11 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
 
   std::shared_ptr<KVStore> store;
   std::uint64_t token = 0;
-  if (resp.ok() && op != OpCode::kLookup) {
-    auto it = shard.stores.find(route.partition);
-    if (it != shard.stores.end() && it->second) {
-      // The token covers exactly the mutations applied so far, including
-      // ours — captured in-shard, where this store is ordered.
-      store = it->second;
-      token = store->last_commit_token();
-    }
+  if (resp.ok() && op != OpCode::kLookup && record.store) {
+    // The token covers exactly the mutations applied so far, including
+    // ours — captured in-shard, where this store is ordered.
+    store = record.store;
+    token = store->last_commit_token();
   }
   if (token == 0 && !replicate) {
     // Hot path: routed, applied, and acked on the owning shard — zero
@@ -860,7 +852,7 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   if (replicate) {
     plan = MakeReplicaPlan(shard, replication_chain);
     plan.all_sync = failover_accept;
-    ApplyRebuildDiversions(shard, route.partition, &plan);
+    ApplyRebuildDiversions(record, &plan);
   }
   const PartitionId partition = route.partition;
   auto fin = [this, resp = std::move(resp), request = std::move(request),
@@ -993,6 +985,21 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
 void ZhtServer::ExecBatchGroup(Shard& shard,
                                const std::shared_ptr<BatchGather>& gather,
                                std::vector<std::size_t> indices) {
+  // Stores holding this group's acked mutations (duplicates included: their
+  // original may not be durable yet), one entry per partition; durability
+  // tokens are read after every sub-op applied.
+  struct TouchedStore {
+    std::shared_ptr<KVStore> store;
+    std::uint64_t token = 0;
+    PartitionId partition = 0;
+  };
+  std::vector<TouchedStore> touched;
+  std::unordered_set<PartitionId> seen;
+  auto touch = [&](const PartitionRecord& record, PartitionId partition) {
+    if (record.store && seen.insert(partition).second) {
+      touched.push_back({record.store, 0, partition});
+    }
+  };
   for (std::size_t i : indices) {
     const Request& op = gather->ops[i];
     DataRoute route = RouteDataOp(shard, op, &gather->delta_sent);
@@ -1004,8 +1011,8 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
     Response sub;
     sub.seq = op.seq;
     sub.epoch = route.epoch;
-    if (shard.migrating.count(route.partition) ||
-        shard.rebuilding.count(route.partition)) {
+    PartitionRecord& record = shard.partitions[route.partition];
+    if (record.state != PartitionState::kServing) {
       sub.status = Status(StatusCode::kMigrating).raw();
       gather->responses[i] = std::move(sub);
       continue;
@@ -1014,6 +1021,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
       stats_.duplicate_appends_dropped.fetch_add(1, kRelaxed);
       sub.status = Status::Ok().raw();
       gather->responses[i] = std::move(sub);
+      touch(record, route.partition);
       continue;
     }
     if (op.op == OpCode::kLookup && !op.server_origin &&
@@ -1027,13 +1035,14 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
       continue;
     }
     std::string lookup_value;
-    Status status = ApplyToStore(shard, op.op, route.partition, op.key,
+    Status status = ApplyToStore(record, route.partition, op.op, op.key,
                                  op.value, &lookup_value);
     stats_.ops.fetch_add(1, kRelaxed);
     if (op.op == OpCode::kLookup) {
       if (status.ok()) CacheFill(shard, route.partition, op.key, lookup_value);
     } else {
       CacheInvalidate(shard, op.key);
+      if (status.ok()) touch(record, route.partition);
     }
     if (status.ok() && op.op != OpCode::kLookup &&
         options_.cluster.num_replicas > 0 && !op.server_origin &&
@@ -1061,7 +1070,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
         gather->replicate[i] = 1;
         gather->plans[i] = MakeReplicaPlan(shard, replication_chain);
         gather->plans[i].all_sync = failover_accept;
-        ApplyRebuildDiversions(shard, route.partition, &gather->plans[i]);
+        ApplyRebuildDiversions(record, &gather->plans[i]);
       }
     }
     sub.status = status.raw();
@@ -1073,24 +1082,10 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
   // sub-op applied (monotone, so the latest covers them all), and one
   // NotifyDurable per store parks on its flusher. The last callback fixes
   // any failed partitions' sub-ops and reports the group done.
-  struct TouchedStore {
-    std::shared_ptr<KVStore> store;
-    std::uint64_t token = 0;
-    PartitionId partition = 0;
-  };
-  std::vector<TouchedStore> touched;
-  std::unordered_set<PartitionId> seen;
-  for (std::size_t i : indices) {
-    const Request& op = gather->ops[i];
-    if (op.op == OpCode::kLookup) continue;
-    if (!gather->responses[i].ok()) continue;  // redirects/migrating/errors
-    const PartitionId partition = gather->partitions[i];
-    if (!seen.insert(partition).second) continue;
-    auto it = shard.stores.find(partition);
-    if (it == shard.stores.end() || !it->second) continue;
-    const std::uint64_t token = it->second->last_commit_token();
-    if (token != 0) touched.push_back({it->second, token, partition});
-  }
+  std::erase_if(touched, [](TouchedStore& t) {
+    t.token = t.store->last_commit_token();
+    return t.token == 0;
+  });
   if (touched.empty()) {
     CompleteBatchGroup(gather);
     return;
@@ -1181,8 +1176,7 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
   Post(*shards_.front(), [this, payload, seq,
                           done = std::move(done)](Shard& s0) mutable {
     Status status = s0.table.ApplyUpdate(*payload);
-    ReleaseStuckRebuilds(s0);
-    ReleaseCompletedHandoffs(s0);
+    ReconcileWithTable(s0);
     // Ownership may have moved with the epoch: a cached entry must never
     // outlive this instance's claim on its partition, and membership
     // changes are rare enough that a full clear is the simplest proof.
@@ -1209,8 +1203,7 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
     for (std::size_t s = 1; s < shards_.size(); ++s) {
       Post(*shards_[s], [this, payload, gather](Shard& sh) {
         sh.table.ApplyUpdate(*payload);
-        ReleaseStuckRebuilds(sh);
-        ReleaseCompletedHandoffs(sh);
+        ReconcileWithTable(sh);
         CacheClear(sh);
         if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           Response resp;
@@ -1225,253 +1218,22 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration (§III.C): incoming Begin/Data/End are shard tasks; outgoing
-// marks the shard, streams from a finisher, and posts completion back
-// ---------------------------------------------------------------------------
-
-void ZhtServer::ExecMigrateBegin(Shard& shard, Request&& request,
-                                 ResponseCallback done) {
-  Response resp;
-  resp.seq = request.seq;
-  // Fresh store for the incoming partition (replaces any stale replica
-  // copy; the authoritative data is what the source streams to us). The
-  // shard drain fences out readers of the old store.
-  std::shared_ptr<KVStore> store =
-      options_.store_factory(options_.self, request.partition);
-  shard.stores[request.partition] = std::move(store);
-  // The replaced replica copy may have fed the cache; the stream now owns
-  // this partition's contents.
-  CacheDropPartition(shard, request.partition);
-  resp.epoch = shard.table.epoch();
-  done(std::move(resp));
-}
-
-void ZhtServer::ExecMigrateData(Shard& shard, Request&& request,
-                                ResponseCallback done) {
-  Response resp;
-  resp.seq = request.seq;
-  auto pairs = UnpackPairs(request.value);
-  if (!pairs.ok()) {
-    resp.status = pairs.status().raw();
-    done(std::move(resp));
-    return;
-  }
-  KVStore* store = StoreIn(shard, request.partition);
-  if (!store) {
-    resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
-    done(std::move(resp));
-    return;
-  }
-  for (const auto& [key, value] : *pairs) {
-    store->Put(key, value);
-    // A failover read between Begin and this carrier may have re-filled
-    // the cache from the half-streamed store; the streamed value wins.
-    CacheInvalidate(shard, key);
-  }
-  // Ack the carrier only once its pairs are durable (one wait per carrier);
-  // the source treats the ack as "these pairs are safely moved".
-  const std::uint64_t token = store->last_commit_token();
-  if (token == 0) {
-    done(std::move(resp));
-    return;
-  }
-  std::shared_ptr<KVStore> pinned = shard.stores[request.partition];
-  pinned->NotifyDurable(
-      token, [resp = std::move(resp), done = std::move(done)](
-                 Status durable) mutable {
-        if (!durable.ok()) resp.status = durable.raw();
-        done(std::move(resp));
-      });
-}
-
-void ZhtServer::ExecMigrateEnd(Shard& shard, Request&& request,
-                               ResponseCallback done) {
-  Response resp;
-  resp.seq = request.seq;
-  stats_.migrations_in.fetch_add(1, kRelaxed);
-  CacheDropPartition(shard, request.partition);
-  resp.epoch = shard.table.epoch();
-  done(std::move(resp));
-}
-
-void ZhtServer::StartMigrateOut(PartitionId partition,
-                                const NodeAddress& target,
-                                std::function<void(Status)> done) {
-  Post(ShardForPartition(partition),
-       [this, partition, target, done = std::move(done)](Shard& sh) mutable {
-         if (sh.migrating.count(partition)) {
-           done(Status(StatusCode::kMigrating, "partition already migrating"));
-           return;
-         }
-         // Mark and snapshot inside the shard drain: no write can land
-         // between the mark and the snapshot, so the stream is exact.
-         // Writers arriving after see kMigrating and retry (§III.C "Data
-         // Migration").
-         sh.migrating.insert(partition);
-         CacheDropPartition(sh, partition);
-         auto pairs = std::make_shared<
-             std::vector<std::pair<std::string, std::string>>>();
-         auto it = sh.stores.find(partition);
-         if (it != sh.stores.end() && it->second) {
-           it->second->ForEach(
-               [&pairs](std::string_view k, std::string_view v) {
-                 pairs->emplace_back(std::string(k), std::string(v));
-               });
-         }
-         EnqueueFinisher(
-             [this, partition, target, pairs, done = std::move(done)]() mutable {
-               Status status = StreamPartition(partition, target, *pairs);
-               FinishMigrateOut(partition, std::move(status), !pairs->empty(),
-                                std::move(done));
-             });
-       });
-}
-
-Status ZhtServer::StreamPartition(
-    PartitionId partition, const NodeAddress& target,
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  Request begin;
-  begin.op = OpCode::kMigrateBegin;
-  begin.partition = partition;
-  begin.server_origin = true;
-  auto begin_result =
-      peer_transport_->Call(target, begin, options_.cluster.peer_timeout);
-  if (!begin_result.ok()) return begin_result.status();
-  if (!begin_result->ok()) return begin_result->status_as_object();
-
-  // Stream in batches ("moving a partition is as easy as moving a file").
-  std::vector<std::pair<std::string, std::string>> batch;
-  std::size_t batch_bytes = 0;
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::Ok();
-    Request data;
-    data.op = OpCode::kMigrateData;
-    data.partition = partition;
-    data.server_origin = true;
-    data.value = PackPairs(batch);
-    batch.clear();
-    batch_bytes = 0;
-    auto result =
-        peer_transport_->Call(target, data, options_.cluster.peer_timeout);
-    if (!result.ok()) return result.status();
-    if (!result->ok()) return result->status_as_object();
-    return Status::Ok();
-  };
-  for (const auto& pair : pairs) {
-    batch_bytes += pair.first.size() + pair.second.size() + 16;
-    batch.push_back(pair);
-    if (batch_bytes >= options_.migrate_batch_bytes) {
-      Status status = flush();
-      if (!status.ok()) return status;
-    }
-  }
-  Status status = flush();
-  if (!status.ok()) return status;
-
-  Request end;
-  end.op = OpCode::kMigrateEnd;
-  end.partition = partition;
-  end.server_origin = true;
-  auto end_result =
-      peer_transport_->Call(target, end, options_.cluster.peer_timeout);
-  if (!end_result.ok()) return end_result.status();
-  if (!end_result->ok()) return end_result->status_as_object();
-  std::uint64_t payload_bytes = 0;
-  for (const auto& pair : pairs) {
-    payload_bytes += pair.first.size() + pair.second.size();
-  }
-  stats_.migration_pairs_streamed.fetch_add(pairs.size(), kRelaxed);
-  stats_.migration_bytes_streamed.fetch_add(payload_bytes, kRelaxed);
-  return Status::Ok();
-}
-
-void ZhtServer::FinishMigrateOut(PartitionId partition, Status status,
-                                 bool had_data,
-                                 std::function<void(Status)> done) {
-  // Completion posts back to the owning shard: on success the partition is
-  // relinquished; either way the migration lock lifts.
-  Post(ShardForPartition(partition),
-       [this, partition, status = std::move(status), had_data,
-        done = std::move(done)](Shard& sh) mutable {
-         if (status.ok()) {
-           sh.stores.erase(partition);
-           stats_.migrations_out.fetch_add(1, kRelaxed);
-         }
-         // Dropped before the manager can broadcast the new membership:
-         // no window where this instance serves cached values for a
-         // partition it just handed off.
-         CacheDropPartition(sh, partition);
-         if (!status.ok()) {
-           // Stream failed; the partition stays put and this instance
-           // keeps serving it.
-           sh.migrating.erase(partition);
-         } else if (partition < sh.table.num_partitions() &&
-                    sh.table.OwnerOf(partition) == options_.self) {
-           // The table still names this instance owner: hold the
-           // kMigrating lock until the manager's ownership update lands,
-           // or this window serves the just-erased store as primary.
-           sh.handed_off.emplace(partition, had_data);
-         } else {
-           ReleaseHandoff(sh, partition, had_data);
-         }
-         done(std::move(status));
-       });
-}
-
-void ZhtServer::ReleaseHandoff(Shard& shard, PartitionId partition,
-                               bool had_data) {
-  shard.migrating.erase(partition);
-  if (!had_data) return;
-  const auto chain =
-      shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
-  if (std::find(chain.begin(), chain.end(), options_.self) != chain.end()) {
-    // Still a replica for the partition we just handed off, with nothing
-    // left to serve it from: refuse failover reads (rebuilding mark) until
-    // the manager-commanded repair streams the copy back. The rebuild's
-    // Begin simply re-marks; its End lifts the mark.
-    shard.rebuilding.insert(partition);
-    CacheDropPartition(shard, partition);
-  }
-}
-
-Status ZhtServer::MigratePartitionTo(PartitionId partition,
-                                     const NodeAddress& target) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  };
-  auto latch = std::make_shared<Latch>();
-  StartMigrateOut(partition, target, [latch](Status status) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->status = std::move(status);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->status;
-}
-
-// ---------------------------------------------------------------------------
-// Anti-entropy + online rebuild (the recovery model; DESIGN.md §Recovery).
-// The owner digest-probes its replica chain, streams a checkpoint to the
-// members that mismatch, and the FIFO async queue doubles as the catch-up
-// replay: sync legs to an in-rebuild destination divert behind the stream's
-// End, so the destination converges without ever blocking writes here.
+// Partition transfer (§III.C migration and the recovery model's rebuild;
+// DESIGN.md §7). One protocol moves a partition: the source snapshots and
+// digests it in-shard, the ordered async queue carries Begin/Data*/End,
+// and the destination lands the stream in a shadow store that replaces its
+// canonical copy only once the End digest verifies. A rebuild streams to
+// the stale members of the owner's chain while the owner keeps serving —
+// sync legs to those members divert behind the stream's End, so the FIFO
+// queue doubles as the catch-up replay. A migration streams to the new
+// owner while the partition is kSending, then hands it off.
 // ---------------------------------------------------------------------------
 
 PartitionDigest ZhtServer::DigestOfStore(const KVStore* store) {
   PartitionDigest digest;
   if (!store) return digest;
   store->ForEach([&digest](std::string_view key, std::string_view value) {
-    ++digest.count;
-    // Chain the key's CRC into the value's seed so the pair hashes as a
-    // unit ((ab, c) and (a, bc) differ); XOR keeps the fold order-free.
-    digest.crc ^= Crc32c(value, Crc32c(key));
+    digest.Add(key, value);
   });
   return digest;
 }
@@ -1481,52 +1243,49 @@ void ZhtServer::ExecDigest(Shard& shard, Request&& request,
   Response resp;
   resp.seq = request.seq;
   resp.epoch = shard.table.epoch();
-  auto it = shard.stores.find(request.partition);
-  const KVStore* store = it != shard.stores.end() ? it->second.get() : nullptr;
+  auto it = shard.partitions.find(request.partition);
   // A partition we do not hold digests as {0, 0} — indistinguishable from
   // empty, which is exactly right: both need the full stream.
-  resp.value = DigestOfStore(store).Encode();
+  resp.value =
+      DigestOfStore(it != shard.partitions.end() ? it->second.store.get()
+                                                 : nullptr)
+          .Encode();
   done(std::move(resp));
 }
 
-void ZhtServer::ExecRebuildBegin(Shard& shard, Request&& request,
-                                 ResponseCallback done) {
+void ZhtServer::ExecTransferBegin(Shard& shard, Request&& request,
+                                  ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
   resp.epoch = shard.table.epoch();
-  // The stream lands in a shadow store and only replaces the canonical
+  const PartitionId partition = request.partition;
+  if (!Transition(shard, partition, PartitionState::kReceiving)) {
+    resp.status =
+        Status(StatusCode::kMigrating, "partition in outbound transfer").raw();
+    done(std::move(resp));
+    return;
+  }
+  // The stream lands in a shadow store (created by the first Data carrier,
+  // so an empty partition costs none) and only replaces the canonical
   // store after the End digest verifies — a source dying mid-stream (or a
-  // torn stream) can never cost this replica its existing copy, which may
+  // torn stream) can never cost this instance its existing copy, which may
   // be the cluster's last. Clear, don't re-create: a persistent store
   // opened twice at one path would race its older self over the log file.
-  std::shared_ptr<KVStore> shadow = ShadowStoreIn(shard, request.partition);
-  if (!shadow) {
-    resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
-    done(std::move(resp));
-    return;
-  }
-  Status cleared = shadow->Clear();
-  if (!cleared.ok()) {
-    resp.status = cleared.raw();
-    done(std::move(resp));
-    return;
-  }
-  shard.rebuilding.insert(request.partition);
-  // No fills can happen while the rebuilding mark rejects reads, and the
-  // entries cached so far describe the copy about to be replaced.
-  CacheDropPartition(shard, request.partition);
+  const std::shared_ptr<KVStore>& shadow = shard.partitions[partition].shadow;
+  if (shadow) resp.status = shadow->Clear().raw();
   done(std::move(resp));
 }
 
-void ZhtServer::ExecRebuildData(Shard& shard, Request&& request,
-                                ResponseCallback done) {
+void ZhtServer::ExecTransferData(Shard& shard, Request&& request,
+                                 ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
-  if (!shard.rebuilding.count(request.partition)) {
-    // Begin never arrived, or a restart wiped the mark: refuse so the
-    // source's End verification fails and it re-streams from scratch.
+  PartitionRecord& record = shard.partitions[request.partition];
+  if (record.state != PartitionState::kReceiving) {
+    // Begin never arrived or was refused, or a restart wiped the mark:
+    // refuse so the source's End verification fails and it re-streams.
     resp.status =
-        Status(StatusCode::kInvalidArgument, "no rebuild in progress").raw();
+        Status(StatusCode::kInvalidArgument, "no transfer in progress").raw();
     done(std::move(resp));
     return;
   }
@@ -1536,12 +1295,12 @@ void ZhtServer::ExecRebuildData(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  std::shared_ptr<KVStore> shadow = ShadowStoreIn(shard, request.partition);
-  if (!shadow) {
+  if (!ShadowOf(record, request.partition)) {
     resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
     done(std::move(resp));
     return;
   }
+  std::shared_ptr<KVStore> shadow = record.shadow;
   for (const auto& [key, value] : *pairs) {
     Status put = shadow->Put(key, value);
     if (!put.ok()) {
@@ -1550,9 +1309,8 @@ void ZhtServer::ExecRebuildData(Shard& shard, Request&& request,
       return;
     }
   }
-  // Ack the carrier only once its pairs are durable, exactly like the
-  // migration stream: the source treats the ack as "safely received". The
-  // capture pins the shadow object past any later End/Begin on the shard.
+  // Ack the carrier only once its pairs are durable: the source treats the
+  // ack as "safely received". The capture pins the shadow object.
   const std::uint64_t token = shadow->last_commit_token();
   if (token == 0) {
     done(std::move(resp));
@@ -1567,8 +1325,8 @@ void ZhtServer::ExecRebuildData(Shard& shard, Request&& request,
       });
 }
 
-void ZhtServer::ExecRebuildEnd(Shard& shard, Request&& request,
-                               ResponseCallback done) {
+void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
+                                ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
   resp.epoch = shard.table.epoch();
@@ -1578,60 +1336,56 @@ void ZhtServer::ExecRebuildEnd(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  if (shard.rebuilding.erase(request.partition) == 0) {
-    // The stream was broken (we restarted, Begin was dropped, or a
-    // membership change promoted us mid-stream): report corruption so the
-    // source re-streams from scratch.
+  const PartitionId partition = request.partition;
+  PartitionRecord& record = shard.partitions[partition];
+  if (record.state != PartitionState::kReceiving) {
+    // The stream was broken (we restarted, Begin was dropped or refused,
+    // or a membership change promoted us mid-stream): report corruption so
+    // the source re-streams from scratch.
     resp.status =
-        Status(StatusCode::kCorruption, "rebuild stream broken").raw();
+        Status(StatusCode::kCorruption, "transfer stream broken").raw();
     done(std::move(resp));
     return;
   }
-  auto shadow_it = shard.shadow_stores.find(request.partition);
-  std::shared_ptr<KVStore> shadow = shadow_it != shard.shadow_stores.end()
-                                        ? shadow_it->second
-                                        : nullptr;
-  const PartitionDigest mine = DigestOfStore(shadow.get());
+  Transition(shard, partition, PartitionState::kServing);
+  const PartitionDigest mine = DigestOfStore(record.shadow.get());
   resp.value = mine.Encode();
   if (!(mine == *expected)) {
-    // Canonical store untouched; the shadow is discarded at the next Begin.
+    // Canonical store untouched; the shadow is cleared at the next Begin.
     resp.status =
-        Status(StatusCode::kCorruption, "rebuild digest mismatch").raw();
+        Status(StatusCode::kCorruption, "transfer digest mismatch").raw();
     done(std::move(resp));
     return;
   }
   // Verified: replace the canonical copy with the shadow's contents. Both
   // stores are shard-local, so the swap cannot be interrupted by a peer
   // failure — it either happens entirely or the End errors out.
-  KVStore* canonical = StoreIn(shard, request.partition);
-  if (!canonical) {
-    resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
-    done(std::move(resp));
-    return;
-  }
-  Status swap = canonical->Clear();
-  if (swap.ok() && shadow) {
-    shadow->ForEach([&](std::string_view key, std::string_view value) {
+  KVStore* canonical = StoreOf(record, partition);
+  Status swap = canonical
+                    ? canonical->Clear()
+                    : Status(StatusCode::kInternal, "store factory failed");
+  if (swap.ok() && record.shadow) {
+    record.shadow->ForEach([&](std::string_view key, std::string_view value) {
       if (swap.ok()) swap = canonical->Put(key, value);
     });
+    if (swap.ok()) swap = record.shadow->Clear();  // truncate the landing pad
   }
-  if (swap.ok() && shadow) swap = shadow->Clear();  // truncate the landing pad
-  CacheDropPartition(shard, request.partition);
   if (!swap.ok()) {
     resp.status = swap.raw();
     done(std::move(resp));
     return;
   }
+  // replica_index 0 marks a migration: this instance becomes the primary.
+  if (request.replica_index == 0) stats_.migrations_in.fetch_add(1, kRelaxed);
   // Ack End only once the swapped-in pairs are durable in the canonical
-  // log — the source counts this replica as rebuilt on that ack.
+  // log — the source counts the transfer done on that ack.
   const std::uint64_t token = canonical->last_commit_token();
   if (token == 0) {
     done(std::move(resp));
     return;
   }
-  std::shared_ptr<KVStore> pinned = shard.stores[request.partition];
   canonical->NotifyDurable(
-      token, [pinned = std::move(pinned), resp = std::move(resp),
+      token, [pinned = record.store, resp = std::move(resp),
               done = std::move(done)](Status durable) mutable {
         if (!durable.ok()) resp.status = durable.raw();
         done(std::move(resp));
@@ -1642,7 +1396,8 @@ void ZhtServer::StartRebuild(PartitionId partition,
                              std::function<void(Status)> done) {
   Post(ShardForPartition(partition),
        [this, partition, done = std::move(done)](Shard& sh) mutable {
-         if (sh.rebuild_out.count(partition)) {
+         PartitionRecord& record = sh.partitions[partition];
+         if (record.rebuild) {
            done(Status(StatusCode::kMigrating, "rebuild already in flight"));
            return;
          }
@@ -1652,10 +1407,15 @@ void ZhtServer::StartRebuild(PartitionId partition,
            done(Status(StatusCode::kRedirect, "not the partition owner"));
            return;
          }
-         std::vector<RebuildTarget> targets;
+         if (record.state == PartitionState::kHandedOff) {
+           // The store is erased; streaming it would wipe the chain.
+           done(Status(StatusCode::kMigrating, "partition handed off"));
+           return;
+         }
+         std::vector<TransferTarget> targets;
          for (std::size_t i = 1; i < chain.size(); ++i) {
            if (chain[i] == options_.self) continue;
-           RebuildTarget target;
+           TransferTarget target;
            target.id = chain[i];
            target.address = chain[i] < sh.table.instance_count()
                                 ? sh.table.Instance(chain[i]).address
@@ -1667,10 +1427,8 @@ void ZhtServer::StartRebuild(PartitionId partition,
            done(Status::Ok());
            return;
          }
-         auto it = sh.stores.find(partition);
-         const PartitionDigest mine = DigestOfStore(
-             it != sh.stores.end() ? it->second.get() : nullptr);
-         RebuildOut& out = sh.rebuild_out[partition];
+         const PartitionDigest mine = DigestOfStore(record.store.get());
+         TransferOut& out = record.rebuild.emplace();
          out.targets = targets;
          out.done = std::move(done);
          // Probe from a finisher (peer I/O); the stale subset posts back
@@ -1683,9 +1441,9 @@ void ZhtServer::StartRebuild(PartitionId partition,
 }
 
 void ZhtServer::ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
-                                    std::vector<RebuildTarget> targets) {
+                                    std::vector<TransferTarget> targets) {
   std::vector<InstanceId> stale;
-  for (const RebuildTarget& target : targets) {
+  for (const TransferTarget& target : targets) {
     stats_.antientropy_probes.fetch_add(1, kRelaxed);
     bool matched = false;
     if (!target.address.host.empty() || target.address.port != 0) {
@@ -1716,117 +1474,115 @@ void ZhtServer::ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
 
 void ZhtServer::BeginRebuildStreams(Shard& shard, PartitionId partition,
                                     std::vector<InstanceId> stale) {
-  auto it = shard.rebuild_out.find(partition);
-  if (it == shard.rebuild_out.end()) return;
-  RebuildOut& out = it->second;
+  std::optional<TransferOut>& out = shard.partitions[partition].rebuild;
+  if (!out) return;
   // Keep only the stale members; while a member stays listed here, sync
   // replication legs to it divert behind the stream (ApplyRebuildDiversions).
-  out.targets.erase(
-      std::remove_if(out.targets.begin(), out.targets.end(),
-                     [&stale](const RebuildTarget& t) {
-                       return std::find(stale.begin(), stale.end(), t.id) ==
-                              stale.end();
-                     }),
-      out.targets.end());
-  if (out.targets.empty()) {
-    auto done = std::move(out.done);
-    Status aggregate = std::move(out.aggregate);
-    shard.rebuild_out.erase(it);
+  std::erase_if(out->targets, [&stale](const TransferTarget& t) {
+    return std::find(stale.begin(), stale.end(), t.id) == stale.end();
+  });
+  if (out->targets.empty()) {
+    auto done = std::move(out->done);
+    Status aggregate = std::move(out->aggregate);
+    out.reset();
     if (done) done(std::move(aggregate));
     return;
   }
-  for (RebuildTarget& target : out.targets) {
-    StreamRebuildTarget(shard, partition, target);
+  for (TransferTarget& target : out->targets) {
+    StreamTransfer(shard, partition, target, /*migration=*/false);
   }
 }
 
-void ZhtServer::StreamRebuildTarget(Shard& shard, PartitionId partition,
-                                    RebuildTarget& target) {
+void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
+                               TransferTarget& target, bool migration) {
   ++target.attempts;
-  if (target.attempts == 1) {
-    stats_.rebuilds_started.fetch_add(1, kRelaxed);
-  } else {
-    stats_.rebuild_retries.fetch_add(1, kRelaxed);
+  if (!migration) {
+    (target.attempts == 1 ? stats_.rebuilds_started : stats_.rebuild_retries)
+        .fetch_add(1, kRelaxed);
   }
+  auto message = [&](OpCode op) {
+    Request request;
+    request.op = op;
+    request.partition = partition;
+    request.replica_index = target.replica_index;
+    request.server_origin = true;
+    return request;
+  };
   // Snapshot and digest in-shard, then enqueue the whole Begin/Data*/End
-  // conversation into the async queue. Every write applied after this
-  // shard task enqueues its (diverted) leg after our End — the per-
-  // destination FIFO ordering IS the catch-up replay. Writes applied
-  // before it are in the snapshot, so their earlier legs are redundant.
+  // conversation into the async queue back to back. For a rebuild, every
+  // write applied after this shard task enqueues its (diverted) leg after
+  // our End — the per-destination FIFO ordering IS the catch-up replay —
+  // and writes applied before it are in the snapshot. A migrating
+  // partition is kSending, so nothing is applied after it.
+  std::vector<Request> stream = {message(OpCode::kTransferBegin)};
   PartitionDigest digest;
-  auto pairs =
-      std::make_shared<std::vector<std::pair<std::string, std::string>>>();
-  auto it = shard.stores.find(partition);
-  if (it != shard.stores.end() && it->second) {
-    it->second->ForEach(
-        [&digest, &pairs](std::string_view k, std::string_view v) {
-          ++digest.count;
-          digest.crc ^= Crc32c(v, Crc32c(k));
-          pairs->emplace_back(std::string(k), std::string(v));
-        });
-  }
-
-  Request begin;
-  begin.op = OpCode::kRebuildBegin;
-  begin.partition = partition;
-  begin.server_origin = true;
-  EnqueueAsyncReplication(std::move(begin), target.address);
-
+  std::uint64_t bytes = 0;
   std::vector<std::pair<std::string, std::string>> batch;
   std::size_t batch_bytes = 0;
-  std::uint64_t streamed = 0;
   auto flush = [&]() {
     if (batch.empty()) return;
-    Request data;
-    data.op = OpCode::kRebuildData;
-    data.partition = partition;
-    data.server_origin = true;
-    data.value = PackPairs(batch);
-    streamed += batch.size();
+    stream.push_back(message(OpCode::kTransferData));
+    stream.back().value = PackPairs(batch);
     batch.clear();
     batch_bytes = 0;
-    EnqueueAsyncReplication(std::move(data), target.address);
   };
-  for (auto& pair : *pairs) {
-    batch_bytes += pair.first.size() + pair.second.size() + 16;
-    batch.push_back(std::move(pair));
-    if (batch_bytes >= options_.migrate_batch_bytes) flush();
+  if (const KVStore* store = shard.partitions[partition].store.get()) {
+    store->ForEach([&](std::string_view k, std::string_view v) {
+      digest.Add(k, v);
+      bytes += k.size() + v.size();
+      batch_bytes += k.size() + v.size() + 16;
+      batch.emplace_back(std::string(k), std::string(v));
+      if (batch_bytes >= options_.migrate_batch_bytes) flush();
+    });
   }
   flush();
-  stats_.rebuild_pairs_streamed.fetch_add(streamed, kRelaxed);
+  target.pairs = digest.count;
+  target.bytes = bytes;
+  if (!migration) {
+    stats_.rebuild_pairs_streamed.fetch_add(digest.count, kRelaxed);
+  }
+  for (Request& leg : stream) {
+    EnqueueAsyncReplication(std::move(leg), target.address);
+  }
 
-  Request end;
-  end.op = OpCode::kRebuildEnd;
-  end.partition = partition;
-  end.server_origin = true;
+  Request end = message(OpCode::kTransferEnd);
   end.value = digest.Encode();
   const InstanceId id = target.id;
   EnqueueAsyncLeg(
       std::move(end), target.address,
-      [this, partition, id](const Result<Response>& result) {
+      [this, partition, migration, id](const Result<Response>& result) {
         Status status =
             !result.ok() ? result.status() : result->status_as_object();
         Post(ShardForPartition(partition),
-             [this, partition, id,
+             [this, partition, migration, id,
               status = std::move(status)](Shard& sh) mutable {
-               FinishRebuildLeg(sh, partition, id, std::move(status));
+               FinishTransferLeg(sh, partition, migration, id,
+                                 std::move(status));
              });
       });
 }
 
-void ZhtServer::FinishRebuildLeg(Shard& shard, PartitionId partition,
-                                 InstanceId id, Status status) {
-  auto it = shard.rebuild_out.find(partition);
-  if (it == shard.rebuild_out.end()) return;
-  RebuildOut& out = it->second;
+void ZhtServer::FinishTransferLeg(Shard& shard, PartitionId partition,
+                                  bool migration, InstanceId id,
+                                  Status status) {
+  PartitionRecord& record = shard.partitions[partition];
+  std::optional<TransferOut>& out =
+      migration ? record.migration : record.rebuild;
+  if (!out) return;
   auto target_it =
-      std::find_if(out.targets.begin(), out.targets.end(),
-                   [id](const RebuildTarget& t) { return t.id == id; });
-  if (target_it == out.targets.end()) return;
-  if (!status.ok() && target_it->attempts < kRebuildMaxAttempts) {
+      std::find_if(out->targets.begin(), out->targets.end(),
+                   [id](const TransferTarget& t) { return t.id == id; });
+  if (target_it == out->targets.end()) return;
+  if (!status.ok() && target_it->attempts < kTransferMaxAttempts &&
+      record.state != PartitionState::kHandedOff) {
     // Any End failure — transport, broken stream, digest mismatch — gets
-    // a full re-stream from a fresh snapshot, up to the attempt budget.
-    StreamRebuildTarget(shard, partition, *target_it);
+    // a full re-stream from a fresh snapshot, up to the attempt budget
+    // (never from a handed-off partition: its store is gone).
+    StreamTransfer(shard, partition, *target_it, migration);
+    return;
+  }
+  if (migration) {
+    FinishMigrateOut(shard, partition, std::move(status));
     return;
   }
   if (status.ok()) {
@@ -1834,103 +1590,118 @@ void ZhtServer::FinishRebuildLeg(Shard& shard, PartitionId partition,
   } else {
     ZHT_WARN << "rebuild of partition " << partition << " to instance " << id
              << " abandoned: " << status.ToString();
-    if (out.aggregate.ok()) out.aggregate = status;
+    if (out->aggregate.ok()) out->aggregate = status;
   }
-  out.targets.erase(target_it);
-  if (out.targets.empty()) {
-    auto done = std::move(out.done);
-    Status aggregate = std::move(out.aggregate);
-    shard.rebuild_out.erase(it);
+  out->targets.erase(target_it);
+  if (out->targets.empty()) {
+    auto done = std::move(out->done);
+    Status aggregate = std::move(out->aggregate);
+    out.reset();
     if (done) done(std::move(aggregate));
   }
 }
 
-void ZhtServer::ApplyRebuildDiversions(const Shard& shard,
-                                       PartitionId partition,
+void ZhtServer::ApplyRebuildDiversions(const PartitionRecord& record,
                                        ReplicaPlan* plan) const {
-  auto it = shard.rebuild_out.find(partition);
-  if (it == shard.rebuild_out.end() || it->second.targets.empty()) return;
+  if (!record.rebuild || record.rebuild->targets.empty()) return;
   plan->via_async.assign(plan->chain.size(), 0);
   for (std::size_t i = 0; i < plan->chain.size(); ++i) {
-    for (const RebuildTarget& target : it->second.targets) {
+    for (const TransferTarget& target : record.rebuild->targets) {
       if (target.id == plan->chain[i]) plan->via_async[i] = 1;
     }
   }
 }
 
-Status ZhtServer::RepairPartition(PartitionId partition) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  };
-  auto latch = std::make_shared<Latch>();
-  StartRebuild(partition, [latch](Status status) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->status = std::move(status);
-      latch->done = true;
+void ZhtServer::StartMigrateOut(PartitionId partition,
+                                const NodeAddress& target,
+                                std::function<void(Status)> done) {
+  Post(ShardForPartition(partition),
+       [this, partition, target, done = std::move(done)](Shard& sh) mutable {
+         // Freeze and snapshot in one shard task: no write can land between
+         // the transition and the snapshot, so the stream is exact. Writers
+         // arriving after see kMigrating and retry (§III.C "Data
+         // Migration").
+         if (!Transition(sh, partition, PartitionState::kSending)) {
+           done(Status(StatusCode::kMigrating, "partition in transfer"));
+           return;
+         }
+         TransferOut& out = sh.partitions[partition].migration.emplace();
+         out.done = std::move(done);
+         // replica_index 0: the destination becomes the primary.
+         TransferTarget& to = out.targets.emplace_back();
+         to.address = target;
+         StreamTransfer(sh, partition, to, /*migration=*/true);
+       });
+}
+
+void ZhtServer::FinishMigrateOut(Shard& shard, PartitionId partition,
+                                 Status status) {
+  PartitionRecord& record = shard.partitions[partition];
+  TransferOut out = std::move(*record.migration);
+  record.migration.reset();
+  if (!status.ok()) {
+    // Abandoned: the partition stays put and this instance keeps serving.
+    Transition(shard, partition, PartitionState::kServing);
+  } else {
+    const TransferTarget& target = out.targets.front();
+    stats_.migrations_out.fetch_add(1, kRelaxed);
+    stats_.migration_pairs_streamed.fetch_add(target.pairs, kRelaxed);
+    stats_.migration_bytes_streamed.fetch_add(target.bytes, kRelaxed);
+    record.store.reset();
+    record.had_data = target.pairs > 0;
+    Transition(shard, partition, PartitionState::kHandedOff);
+    // Until the table names the new owner the partition keeps answering
+    // kMigrating: serving in that window would read the erased store
+    // (NotFound) and ack writes the new owner never sees.
+    if (OwnedElsewhere(shard.table, partition, options_.self)) {
+      Transition(shard, partition, PartitionState::kServing);
     }
-    latch->cv.notify_one();
+  }
+  out.done(std::move(status));
+}
+
+Status ZhtServer::MigratePartitionTo(PartitionId partition,
+                                     const NodeAddress& target) {
+  return AwaitCompletion<Status>([&](std::function<void(Status)> done) {
+    StartMigrateOut(partition, target, std::move(done));
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->status;
+}
+
+Status ZhtServer::RepairPartition(PartitionId partition) {
+  return AwaitCompletion<Status>([&](std::function<void(Status)> done) {
+    StartRebuild(partition, std::move(done));
+  });
 }
 
 PartitionDigest ZhtServer::PartitionDigestOf(PartitionId partition) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    PartitionDigest digest;
-  };
-  auto latch = std::make_shared<Latch>();
-  Post(ShardForPartition(partition), [partition, latch](Shard& sh) {
-    auto it = sh.stores.find(partition);
-    PartitionDigest digest =
-        DigestOfStore(it != sh.stores.end() ? it->second.get() : nullptr);
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->digest = digest;
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->digest;
+  return AwaitCompletion<PartitionDigest>(
+      [&](std::function<void(PartitionDigest)> done) {
+        Post(ShardForPartition(partition), [partition, done](Shard& sh) {
+          auto it = sh.partitions.find(partition);
+          done(DigestOfStore(it != sh.partitions.end() ? it->second.store.get()
+                                                       : nullptr));
+        });
+      });
 }
 
 std::vector<std::pair<std::string, std::string>> ZhtServer::PartitionPairs(
     PartitionId partition) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<std::pair<std::string, std::string>> pairs;
-  };
-  auto latch = std::make_shared<Latch>();
-  Post(ShardForPartition(partition), [partition, latch](Shard& sh) {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    auto it = sh.stores.find(partition);
-    if (it != sh.stores.end() && it->second) {
-      it->second->ForEach([&pairs](std::string_view k, std::string_view v) {
-        pairs.emplace_back(std::string(k), std::string(v));
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->pairs = std::move(pairs);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  Pairs pairs = AwaitCompletion<Pairs>([&](std::function<void(Pairs)> done) {
+    Post(ShardForPartition(partition), [partition, done](Shard& sh) {
+      Pairs out;
+      auto it = sh.partitions.find(partition);
+      if (it != sh.partitions.end() && it->second.store) {
+        it->second.store->ForEach(
+            [&out](std::string_view k, std::string_view v) {
+              out.emplace_back(std::string(k), std::string(v));
+            });
+      }
+      done(std::move(out));
+    });
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  std::sort(latch->pairs.begin(), latch->pairs.end());
-  return latch->pairs;
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
 }
 
 void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
@@ -1939,7 +1710,8 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
   const std::size_t count = shard.table.instance_count();
   const std::size_t self_index = options_.self;
 
-  KVStore* store = StoreIn(shard, partition);
+  PartitionRecord& record = shard.partitions[partition];
+  KVStore* store = StoreOf(record, partition);
   Status put = store ? store->Put(request.key, request.value)
                      : Status(StatusCode::kInternal, "store factory failed");
   stats_.broadcasts.fetch_add(1, kRelaxed);
@@ -1958,12 +1730,9 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
 
   std::shared_ptr<KVStore> pinned;
   std::uint64_t token = 0;
-  if (put.ok()) {
-    auto it = shard.stores.find(partition);
-    if (it != shard.stores.end() && it->second) {
-      pinned = it->second;
-      token = pinned->last_commit_token();
-    }
+  if (put.ok() && record.store) {
+    pinned = record.store;
+    token = pinned->last_commit_token();
   }
   auto fin = [this, seq = request.seq, forward = std::move(request),
               children = std::move(children), put,
@@ -2258,9 +2027,10 @@ void ZhtServer::ScatterCensus(
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     self->Post(*shards_[s], [gather, s](Shard& sh) {
       ShardCensus& census = gather->per[s];
-      census.held = sh.stores.size();
-      for (const auto& [partition, store] : sh.stores) {
+      for (const auto& [partition, record] : sh.partitions) {
+        const KVStore* store = record.store.get();
         if (!store) continue;
+        ++census.held;
         census.entries += store->Size();
         StoreDurabilityMetrics one;
         if (store->durability_metrics(&one)) {
@@ -2340,71 +2110,26 @@ MetricsSnapshot ZhtServer::BuildSnapshot(
 }
 
 MetricsSnapshot ZhtServer::MetricsSnapshotNow() const {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<ShardCensus> census;
-  };
-  auto latch = std::make_shared<Latch>();
-  ScatterCensus([latch](std::vector<ShardCensus> census) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->census = std::move(census);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return BuildSnapshot(latch->census);
+  return BuildSnapshot(AwaitCensus());
 }
 
 std::uint64_t ZhtServer::TotalEntries() const {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::uint64_t entries = 0;
-  };
-  auto latch = std::make_shared<Latch>();
-  ScatterCensus([latch](std::vector<ShardCensus> census) {
-    std::uint64_t total = 0;
-    for (const ShardCensus& c : census) total += c.entries;
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->entries = total;
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->entries;
+  std::uint64_t total = 0;
+  for (const ShardCensus& c : AwaitCensus()) total += c.entries;
+  return total;
 }
 
 std::vector<std::size_t> ZhtServer::ShardPartitionCounts() const {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<std::size_t> counts;
-  };
-  auto latch = std::make_shared<Latch>();
-  ScatterCensus([latch](std::vector<ShardCensus> census) {
-    std::vector<std::size_t> counts;
-    counts.reserve(census.size());
-    for (const ShardCensus& c : census) counts.push_back(c.held);
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->counts = std::move(counts);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  std::vector<std::size_t> counts;
+  for (const ShardCensus& c : AwaitCensus()) counts.push_back(c.held);
+  return counts;
+}
+
+std::vector<ZhtServer::ShardCensus> ZhtServer::AwaitCensus() const {
+  using Census = std::vector<ShardCensus>;
+  return AwaitCompletion<Census>([&](std::function<void(Census)> done) {
+    ScatterCensus(std::move(done));
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->counts;
 }
 
 std::uint64_t ZhtServer::ShardForwardedOps(std::size_t shard) const {

@@ -7,9 +7,9 @@
 // The request API is asynchronous and ownership-routed (DESIGN.md §9):
 // HandleAsync(Request&&, ResponseCallback) routes each request to the shard
 // that owns its partition and completes via callback. A shard owns a
-// disjoint set of partitions end-to-end — stores, membership-table copy,
-// append-dedup window, migration locks — and only ever executes on one
-// thread at a time, so the single-key hot path acquires ZERO mutexes:
+// disjoint set of partitions end-to-end — stores and lifecycle state,
+// membership-table copy, append-dedup window — and only ever executes on
+// one thread at a time, so the single-key hot path acquires ZERO mutexes:
 // ingress computes the partition from an immutable PartitionSpace copy,
 // posts a task into the shard's mailbox, and the owning reactor drains it.
 //
@@ -33,9 +33,9 @@
 // membership push applies on shard 0 (the epoch authority) then fans the
 // payload to every other shard before acking. Durability acks park on the
 // store's flusher via KVStore::NotifyDurable — no thread blocks in the
-// server for a group commit. Synchronous replication legs and migration
-// streaming run on a small finisher pool so shard drains never do network
-// I/O.
+// server for a group commit. Synchronous replication legs run on a small
+// finisher pool and partition transfers on the ordered async-leg worker,
+// so shard drains never do network I/O.
 //
 // Blocking adapters (Handle, MigratePartitionTo, RepairPartition,
 // TotalEntries, MetricsSnapshotNow) exist for tests, tools, and managers.
@@ -83,11 +83,41 @@ using StoreFactory = std::function<std::unique_ptr<KVStore>(
 StoreFactory MakeNoVoHTStoreFactory(std::string dir,
                                     const ClusterOptions& cluster);
 
+// Lifecycle of one partition on one instance (DESIGN.md §7, "Partition
+// transfer"). Data ops are served only in kServing; every other state
+// answers kMigrating so the client backs off and retries.
+enum class PartitionState : std::uint8_t {
+  kServing,    // normal service, as owner or replica
+  kSending,    // outbound migration stream in flight; the store is frozen
+  kHandedOff,  // migration verified and store erased; waiting for a table
+               // that names the new owner
+  kReceiving,  // inbound transfer between Begin and End (lands in a shadow
+               // store), or an ex-owner waiting for its repair stream
+};
+
+// Requested edges a partition may take (from → to):
+//
+//   kServing   → kSending    migration out starts (snapshot + stream)
+//   kServing   → kReceiving  transfer Begin arrives
+//   kSending   → kServing    migration abandoned; the partition stays put
+//   kSending   → kHandedOff  migration End verified; store erased
+//   kHandedOff → kServing    the table names the new owner; an ex-owner
+//                            whose erased copy held data and who stays in
+//                            the replica chain lands in kReceiving instead
+//   kReceiving → kReceiving  a re-stream's Begin restarts the landing
+//   kReceiving → kServing    transfer End, or promoted to owner mid-stream
+//
+// Everything else is refused. In particular a transfer Begin arriving in
+// kSending or kHandedOff is refused: this instance still claims the
+// partition (or has just erased it), so no other source may stream it a
+// copy; the stream's End then fails and the source retries or abandons.
+bool IsLegalTransition(PartitionState from, PartitionState to);
+
 struct ZhtServerOptions {
   InstanceId self = 0;
   ClusterOptions cluster;        // deployment-wide: replicas + timeouts
   bool sync_secondary = true;    // primary+secondary strong consistency
-  std::size_t migrate_batch_bytes = 256 * 1024;
+  std::size_t migrate_batch_bytes = 256 * 1024;  // transfer carrier size
   // Factory for partition stores. Defaults to in-memory NoVoHT.
   StoreFactory store_factory;
   // Partition-ownership shards. 0 = auto (min(4, hardware_concurrency)).
@@ -160,7 +190,7 @@ class ZhtServer {
 
   // Anti-entropy + online rebuild: digest-probes every member of
   // `partition`'s replica chain and streams a fresh checkpoint
-  // (kRebuildBegin/Data/End through the ordered async-replication queue)
+  // (kTransferBegin/Data/End through the ordered async-replication queue)
   // to each member whose digest mismatches — clean members exchange only
   // digests. `done` fires once, after every leg completed or was abandoned
   // (bounded re-stream retries on digest mismatch). No-op unless this
@@ -178,8 +208,9 @@ class ZhtServer {
   std::vector<std::pair<std::string, std::string>> PartitionPairs(
       PartitionId partition);
 
-  // Pushes `partition` to `target` (MigrateBegin/Data/End) and relinquishes
-  // it. The caller (manager) updates and broadcasts membership afterwards.
+  // Transfers `partition` to `target` (the verified Begin/Data/End stream
+  // rebuilds use) and relinquishes it. The caller (manager) updates and
+  // broadcasts membership afterwards.
   Status MigratePartitionTo(PartitionId partition, const NodeAddress& target);
 
   // Unsynchronized view of shard 0's table for single-threaded tests/admin
@@ -319,23 +350,42 @@ class ZhtServer {
     alignas(64) std::atomic<std::uint64_t> tail_{0};
   };
 
-  // One (partition, chain member) leg of an in-flight rebuild.
-  struct RebuildTarget {
+  // One destination of an outbound transfer: a stale chain member
+  // (rebuild) or the new owner (migration).
+  struct TransferTarget {
     InstanceId id = 0;
     NodeAddress address;
+    // The destination's position in the replica chain; 0 for a migration,
+    // whose destination becomes the primary.
     std::uint8_t replica_index = 0;
-    int attempts = 0;  // streams issued so far (retries on mismatch)
+    int attempts = 0;  // streams issued so far (retries on failed End)
+    std::uint64_t pairs = 0;  // volume of the latest stream
+    std::uint64_t bytes = 0;
   };
 
-  // Source-side state of one anti-entropy round: the owner probed the
-  // chain and is streaming to the targets that mismatched. While a target
-  // is listed here, synchronous replication legs to it divert into the
+  // Source-side state of one outbound transfer round. A rebuild round
+  // probed the chain and streams to the members that mismatched; while a
+  // member is listed, synchronous replication legs to it divert into the
   // async queue so post-snapshot writes land after the stream's End (the
   // queue is FIFO per destination — that ordering IS the catch-up replay).
-  struct RebuildOut {
-    std::vector<RebuildTarget> targets;
+  // A migration round streams to the one new owner while the partition is
+  // kSending, so no write can race it.
+  struct TransferOut {
+    std::vector<TransferTarget> targets;
     std::function<void(Status)> done;
     Status aggregate;  // first abandoned leg's failure, reported to done
+  };
+
+  // Everything a shard knows about one partition. Created on first touch
+  // and kept (the shadow store object must be reused: a persistent store
+  // opened twice at one path would race its older self over the log).
+  struct PartitionRecord {
+    PartitionState state = PartitionState::kServing;  // see Transition()
+    std::shared_ptr<KVStore> store;   // canonical copy; null = none held
+    std::shared_ptr<KVStore> shadow;  // inbound transfer landing pad
+    bool had_data = false;  // kHandedOff: the erased copy held pairs
+    std::optional<TransferOut> rebuild;    // owner-side rebuild round
+    std::optional<TransferOut> migration;  // set while kSending
   };
 
   // One partition-ownership shard: shard s owns every partition p with
@@ -347,33 +397,12 @@ class ZhtServer {
 
     // --- shard-owned state (drain-exclusive, no locks) ---
     MembershipTable table;  // private copy; updated by membership scatter
-    std::unordered_map<PartitionId, std::shared_ptr<KVStore>> stores;
+    std::unordered_map<PartitionId, PartitionRecord> partitions;
+    // Partitions whose record is not kServing; an index Transition keeps
+    // so membership updates visit only those, not every record.
+    std::unordered_set<PartitionId> unsettled;
     std::deque<std::uint64_t> dedup_ring;  // at-most-once append window
     std::unordered_set<std::uint64_t> dedup_set;
-    std::unordered_set<PartitionId> migrating;  // locked mid-migration
-    // Source side: partitions whose outbound stream completed but whose
-    // new ownership this shard has not yet seen in a membership update.
-    // They stay in `migrating` (data ops answer kMigrating) until the
-    // table names the new owner — serving in that window would read an
-    // erased store (NotFound) and ack writes the recipient never sees.
-    // The value records whether the handed-off partition held data: a
-    // former owner staying in the replica chain must then keep refusing
-    // failover reads (rebuilding mark) until the manager-commanded repair
-    // streams it a fresh copy.
-    std::unordered_map<PartitionId, bool> handed_off;
-    // Destination side: partitions between kRebuildBegin and kRebuildEnd.
-    // Data ops answer kMigrating while set, so the End digest check sees
-    // exactly the streamed pairs (no interleaved writes, no stale reads).
-    std::unordered_set<PartitionId> rebuilding;
-    // Destination side: the stream lands in a per-partition shadow store
-    // and is swapped into the canonical store only after the End digest
-    // verifies, so a source dying mid-stream never costs the destination
-    // its existing copy. Objects are created once and reused across
-    // rebuilds (Clear()ed at each Begin) so a persistent store is never
-    // opened twice at the same path.
-    std::unordered_map<PartitionId, std::shared_ptr<KVStore>> shadow_stores;
-    // Source side: partitions this owner is currently rebuilding.
-    std::unordered_map<PartitionId, RebuildOut> rebuild_out;
     // Hot-key read cache. Fills/invalidations/drops are drain-exclusive
     // (single writer); ingress threads only probe (TryGet), which is why
     // it may be read outside the drain — see hot_key_cache.h.
@@ -481,6 +510,12 @@ class ZhtServer {
   std::size_t DrainAll(Shard& shard);
 
   // --- request execution (inside shard drains unless noted) ---
+  using PartitionOpHandler = void (ZhtServer::*)(Shard&, Request&&,
+                                                 ResponseCallback);
+  // Ingress: runs a peer message addressed by request.partition in the
+  // partition's shard.
+  void PostPartitionOp(PartitionOpHandler exec, Request&& request,
+                       ResponseCallback done);
   void ExecDataOp(Shard& shard, Request&& request, ResponseCallback done,
                   Nanos start);
   DataRoute RouteDataOp(Shard& shard, const Request& request,
@@ -488,20 +523,26 @@ class ZhtServer {
   Response RedirectTo(const Shard& shard, InstanceId owner, std::uint64_t seq,
                       std::uint32_t requester_epoch, bool include_membership);
   bool IsDuplicateAppend(Shard& shard, const Request& request);
-  Status ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
+  Status ApplyToStore(PartitionRecord& record, PartitionId partition, OpCode op,
                       std::string_view key, std::string_view value,
                       std::string* out);
-  KVStore* StoreIn(Shard& shard, PartitionId partition);  // creates on demand
-  // Rebuild landing pad for `partition` (offset path, reused across rebuilds).
-  std::shared_ptr<KVStore> ShadowStoreIn(Shard& shard, PartitionId partition);
-  // Drops destination-side rebuild marks for partitions this instance now
-  // owns: the stream that fed them is moot (its source lost ownership, or
-  // died), and the canonical store — never wiped mid-stream — is the copy
-  // promotion elected. Called after every membership update.
-  void ReleaseStuckRebuilds(Shard& shard);
-  // Lifts the source-side migration lock for handed-off partitions once a
-  // membership update names their new owner (subsequent requests redirect).
-  void ReleaseCompletedHandoffs(Shard& shard);
+  // The canonical store, created on demand.
+  KVStore* StoreOf(PartitionRecord& record, PartitionId partition);
+  // The transfer landing pad, created on demand under an id no canonical
+  // partition can have (num_partitions + partition), so a persistent
+  // factory gives it its own path.
+  KVStore* ShadowOf(PartitionRecord& record, PartitionId partition);
+  // The only writer of PartitionRecord::state: applies a requested edge
+  // from the table above IsLegalTransition (false = refused, no change),
+  // drops the partition's cached entries on leaving kServing, and applies
+  // the had_data handoff rule.
+  bool Transition(Shard& shard, PartitionId partition, PartitionState to);
+  // After every membership update: a partition handed off is released
+  // once the table names its new owner (subsequent requests redirect), and
+  // an inbound transfer to a partition this instance now owns is dropped
+  // (its source lost ownership or died; the canonical store — never wiped
+  // mid-stream — is the copy promotion elected).
+  void ReconcileWithTable(Shard& shard);
   ReplicaPlan MakeReplicaPlan(const Shard& shard,
                               const std::vector<InstanceId>& chain) const;
 
@@ -512,56 +553,50 @@ class ZhtServer {
   void FinalizeBatch(const std::shared_ptr<BatchGather>& gather);
 
   void StartMembershipPush(Request&& request, ResponseCallback done);
-  void ExecMigrateBegin(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecMigrateData(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecMigrateEnd(Shard& shard, Request&& request, ResponseCallback done);
   void ExecBroadcast(Shard& shard, Request&& request, ResponseCallback done);
-  // --- rebuild / anti-entropy (tentpole of the recovery model) ---
+  // --- partition transfer: rebuild, anti-entropy and migration ---
   // Destination handlers (in-shard).
   void ExecDigest(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecRebuildBegin(Shard& shard, Request&& request,
+  void ExecTransferBegin(Shard& shard, Request&& request,
+                         ResponseCallback done);
+  void ExecTransferData(Shard& shard, Request&& request,
                         ResponseCallback done);
-  void ExecRebuildData(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecRebuildEnd(Shard& shard, Request&& request, ResponseCallback done);
+  void ExecTransferEnd(Shard& shard, Request&& request, ResponseCallback done);
   // Finisher-thread body: one kDigest call per target; posts the stale
   // subset back into the shard.
   void ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
-                           std::vector<RebuildTarget> targets);
+                           std::vector<TransferTarget> targets);
   // In-shard: drop clean targets, stream to the stale ones (or finish).
   void BeginRebuildStreams(Shard& shard, PartitionId partition,
                            std::vector<InstanceId> stale);
-  // In-shard: snapshot the partition and enqueue Begin/Data*/End for one
-  // target into the async queue; End's result posts FinishRebuildLeg.
-  void StreamRebuildTarget(Shard& shard, PartitionId partition,
-                           RebuildTarget& target);
-  void FinishRebuildLeg(Shard& shard, PartitionId partition, InstanceId id,
-                        Status status);
+  // In-shard: snapshot and digest the partition and enqueue Begin/Data*/
+  // End for one target into the async queue; End's result posts
+  // FinishTransferLeg.
+  void StreamTransfer(Shard& shard, PartitionId partition,
+                      TransferTarget& target, bool migration);
+  // In-shard: re-streams a failed leg within the attempt budget, else
+  // retires it; the round's last leg completes the rebuild or migration.
+  void FinishTransferLeg(Shard& shard, PartitionId partition, bool migration,
+                         InstanceId id, Status status);
   // In-shard digest of the partition's store ({0, 0} when absent).
   static PartitionDigest DigestOfStore(const KVStore* store);
   // Flags chain members with an in-flight rebuild stream in plan.via_async.
-  void ApplyRebuildDiversions(const Shard& shard, PartitionId partition,
+  void ApplyRebuildDiversions(const PartitionRecord& record,
                               ReplicaPlan* plan) const;
-  // Marks `partition` migrating in its shard, snapshots it, then streams
-  // Begin/Data/End from a finisher; completion posts back to the shard.
+  // Moves `partition` to kSending in its shard and streams it to `target`;
+  // the End result drives FinishMigrateOut.
   void StartMigrateOut(PartitionId partition, const NodeAddress& target,
                        std::function<void(Status)> done);
-  // Finisher-thread body: the Begin/Data/End peer conversation.
-  Status StreamPartition(
-      PartitionId partition, const NodeAddress& target,
-      const std::vector<std::pair<std::string, std::string>>& pairs);
-  void FinishMigrateOut(PartitionId partition, Status status, bool had_data,
-                        std::function<void(Status)> done);
-  // Drops the source-side migration lock once the new owner is in the
-  // table. A former owner that stays in the partition's replica chain
-  // re-enters service via the rebuilding mark instead: its store was
-  // erased by the handoff, so it must refuse failover reads until the
-  // repair stream delivers a fresh copy.
-  void ReleaseHandoff(Shard& shard, PartitionId partition, bool had_data);
+  // In-shard: on success erase the store and hand off; on failure resume
+  // serving. Reports to the round's `done`.
+  void FinishMigrateOut(Shard& shard, PartitionId partition, Status status);
 
   // Scatters a census task across every shard; `done` runs on the shard
   // that finishes last (or inline when a shard chain completes inline).
   void ScatterCensus(
       std::function<void(std::vector<ShardCensus>)> done) const;
+  // Blocking form for the census adapters (not for reactor threads).
+  std::vector<ShardCensus> AwaitCensus() const;
   MetricsSnapshot BuildSnapshot(const std::vector<ShardCensus>& census) const;
 
   // --- replication (finisher/async threads; addresses pre-resolved) ---

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -48,29 +49,36 @@ inline AsyncRequestHandler ToAsync(RequestHandler handler) {
   };
 }
 
-// Drives one asynchronous call to completion, blocking the calling thread.
-// The latch is shared-owned so a handler that completes late (e.g. after a
-// timeout-free caller already returned) never touches a dead stack frame.
-inline Response CallBlocking(const AsyncRequestHandler& handler,
-                             Request&& request) {
+// Hands `start` a completion callback and blocks the calling thread until
+// that callback delivers a T. The latch is shared-owned so a completion
+// that fires late (e.g. after a timeout-free caller already returned)
+// never touches a dead stack frame.
+template <typename T, typename Start>
+T AwaitCompletion(Start&& start) {
   struct Latch {
     std::mutex mu;
     std::condition_variable cv;
-    bool done = false;
-    Response response;
+    std::optional<T> value;
   };
   auto latch = std::make_shared<Latch>();
-  handler(std::move(request), [latch](Response&& response) {
+  start([latch](T value) {
     {
       std::lock_guard<std::mutex> lock(latch->mu);
-      latch->response = std::move(response);
-      latch->done = true;
+      latch->value.emplace(std::move(value));
     }
     latch->cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return std::move(latch->response);
+  latch->cv.wait(lock, [&] { return latch->value.has_value(); });
+  return std::move(*latch->value);
+}
+
+// Drives one asynchronous call to completion, blocking the calling thread.
+inline Response CallBlocking(const AsyncRequestHandler& handler,
+                             Request&& request) {
+  return AwaitCompletion<Response>([&](ResponseCallback done) {
+    handler(std::move(request), std::move(done));
+  });
 }
 
 // Adapts an asynchronous handler back to the synchronous signature (the

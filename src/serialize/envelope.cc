@@ -1,5 +1,6 @@
 #include "serialize/envelope.h"
 
+#include "common/crc32.h"
 #include "serialize/wire.h"
 
 namespace zht {
@@ -40,10 +41,6 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kPing: return "PING";
     case OpCode::kMembershipPull: return "MEMBERSHIP_PULL";
     case OpCode::kMembershipPush: return "MEMBERSHIP_PUSH";
-    case OpCode::kReplicate: return "REPLICATE";
-    case OpCode::kMigrateBegin: return "MIGRATE_BEGIN";
-    case OpCode::kMigrateData: return "MIGRATE_DATA";
-    case OpCode::kMigrateEnd: return "MIGRATE_END";
     case OpCode::kJoinRequest: return "JOIN_REQUEST";
     case OpCode::kDepartRequest: return "DEPART_REQUEST";
     case OpCode::kBroadcast: return "BROADCAST";
@@ -52,11 +49,42 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kStats: return "STATS";
     case OpCode::kBatch: return "BATCH";
     case OpCode::kDigest: return "DIGEST";
-    case OpCode::kRebuildBegin: return "REBUILD_BEGIN";
-    case OpCode::kRebuildData: return "REBUILD_DATA";
-    case OpCode::kRebuildEnd: return "REBUILD_END";
+    case OpCode::kTransferBegin: return "TRANSFER_BEGIN";
+    case OpCode::kTransferData: return "TRANSFER_DATA";
+    case OpCode::kTransferEnd: return "TRANSFER_END";
   }
   return "UNKNOWN";
+}
+
+bool IsKnownOpCode(std::uint64_t wire_value) {
+  if (wire_value > 0xff) return false;
+  switch (static_cast<OpCode>(wire_value)) {
+    case OpCode::kInsert:
+    case OpCode::kLookup:
+    case OpCode::kRemove:
+    case OpCode::kAppend:
+    case OpCode::kPing:
+    case OpCode::kMembershipPull:
+    case OpCode::kMembershipPush:
+    case OpCode::kJoinRequest:
+    case OpCode::kDepartRequest:
+    case OpCode::kBroadcast:
+    case OpCode::kMigrateOut:
+    case OpCode::kRepair:
+    case OpCode::kStats:
+    case OpCode::kBatch:
+    case OpCode::kDigest:
+    case OpCode::kTransferBegin:
+    case OpCode::kTransferData:
+    case OpCode::kTransferEnd:
+      return true;
+  }
+  return false;
+}
+
+void PartitionDigest::Add(std::string_view key, std::string_view value) {
+  ++count;
+  crc ^= Crc32c(value, Crc32c(key));
 }
 
 std::string PartitionDigest::Encode() const {
@@ -131,7 +159,7 @@ Result<Request> Request::Decode(std::string_view data) {
     switch (field) {
       case kReqOp:
         if (!r.GetVarint(&v)) return Status(StatusCode::kCorruption, "op");
-        if (v < 1 || v > 22) {
+        if (!IsKnownOpCode(v)) {
           return Status(StatusCode::kCorruption, "unknown opcode");
         }
         req.op = static_cast<OpCode>(v);

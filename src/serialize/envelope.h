@@ -18,10 +18,8 @@ enum class OpCode : std::uint8_t {
   kPing = 5,            // liveness probe / failure detection
   kMembershipPull = 6,  // fetch the current membership table
   kMembershipPush = 7,  // manager broadcast of an incremental delta
-  kReplicate = 8,       // server→server replication forward
-  kMigrateBegin = 9,    // lock partition on source, start transfer
-  kMigrateData = 10,    // partition payload (batched key/value pairs)
-  kMigrateEnd = 11,     // unlock, ownership switched
+  // 8-11 are retired (an unsent REPLICATE and the old unverified migration
+  // trio) and decode as kCorruption; never reuse them.
   kJoinRequest = 12,    // new node asks a manager to admit it
   kDepartRequest = 13,  // planned departure (maintenance)
   kBroadcast = 14,      // future-work broadcast primitive (§VI), implemented
@@ -31,21 +29,29 @@ enum class OpCode : std::uint8_t {
   kBatch = 18,          // BATCH envelope: N sub-requests in one frame
                         // (serialize/batch.h); response packs N sub-responses
   kDigest = 19,         // anti-entropy probe: compare partition digests
-  kRebuildBegin = 20,   // owner → replica: wipe, start rebuild stream
-  kRebuildData = 21,    // rebuild payload (batched key/value pairs)
-  kRebuildEnd = 22,     // close stream; value carries the source digest
+  // Partition transfer (rebuild and migration alike): the stream lands in
+  // the destination's shadow store and is verified by digest at End.
+  kTransferBegin = 20,  // source → destination: start a transfer stream
+  kTransferData = 21,   // transfer payload (batched key/value pairs)
+  kTransferEnd = 22,    // close stream; value carries the source digest
 };
 
 std::string_view OpCodeName(OpCode op);
+// True for the wire values of the opcodes above; retired and unassigned
+// values are false (Request::Decode rejects them as kCorruption).
+bool IsKnownOpCode(std::uint64_t wire_value);
 
 // Order-independent summary of a partition's contents, exchanged by the
 // anti-entropy pass (kDigest) and verified at the end of a rebuild stream
-// (kRebuildEnd). `crc` is the XOR of one CRC32C per pair — chained over the
+// (kTransferEnd). `crc` is the XOR of one CRC32C per pair — chained over the
 // key then the value, so "ab"/"c" and "a"/"bc" digest differently — which
 // makes the digest insensitive to iteration order and cheap to compare.
 struct PartitionDigest {
   std::uint64_t count = 0;  // live pairs
   std::uint32_t crc = 0;    // XOR of per-pair CRC32Cs
+
+  // Folds one pair in.
+  void Add(std::string_view key, std::string_view value);
 
   std::string Encode() const;
   static Result<PartitionDigest> Decode(std::string_view data);

@@ -603,10 +603,10 @@ INSTANTIATE_TEST_SUITE_P(
             .ops_per_phase = 50,
             .phases = {{},
                        {{.kind = FaultKind::kDropRequest,
-                         .op = OpCode::kRebuildData,
+                         .op = OpCode::kTransferData,
                          .probability = 0.3},
                         {.kind = FaultKind::kDuplicate,
-                         .op = OpCode::kRebuildData,
+                         .op = OpCode::kTransferData,
                          .probability = 0.3},
                         {.kind = FaultKind::kDropRequest,
                          .op = OpCode::kDigest,
@@ -653,7 +653,7 @@ INSTANTIATE_TEST_SUITE_P(
             .ops_per_phase = 50,
             .phases = {{},
                        {{.kind = FaultKind::kDelay,
-                         .op = OpCode::kRebuildData,
+                         .op = OpCode::kTransferData,
                          .probability = 1.0,
                          .delay = 1 * kNanosPerMilli},
                         {.kind = FaultKind::kDropRequest,

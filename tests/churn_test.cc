@@ -1,8 +1,8 @@
 // Churn suite (`ctest -L churn`): placement-policy properties, the
-// rejoin-at-reused-address regression, the client's separated retry
-// budgets, membership-pull coalescing, and a history-checked churn chaos
-// schedule (join → failure → rejoin → departure under live traffic) per
-// placement policy.
+// rejoin-at-reused-address regression, departures whose partition
+// transfers fail, the client's separated retry budgets, membership-pull
+// coalescing, and a history-checked churn chaos schedule (join → failure
+// → rejoin → departure under live traffic) per placement policy.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -186,6 +186,93 @@ TEST(RejoinRegressionTest, RejoinReusesInstanceIdAndServesData) {
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
     EXPECT_EQ(*got, "v" + std::to_string(i));
   }
+}
+
+// ---- departures whose transfers fail -------------------------------------
+
+std::string DepartKey(int i) { return "depart_k" + std::to_string(i); }
+std::string DepartValue(int i) { return "v" + std::to_string(i); }
+
+int UnreadableKeys(LocalCluster& cluster, int count) {
+  auto reader = cluster.CreateClient();
+  int unreadable = 0;
+  for (int i = 0; i < count; ++i) {
+    auto got = reader->Lookup(DepartKey(i));
+    if (!got.ok() || *got != DepartValue(i)) ++unreadable;
+  }
+  return unreadable;
+}
+
+TEST(DepartureFailureTest, FailedTransfersPromoteReplicasAndLoseNoKeys) {
+  // Every transfer Begin is dropped while instance 1 departs, so each of
+  // its partition moves fails. Ownership must follow the data: the first
+  // other live chain member (the sync secondary) takes each partition,
+  // and no acked key becomes unreadable.
+  auto plan = std::make_shared<FaultPlan>();
+  LocalClusterOptions options;
+  options.num_instances = 4;
+  options.cluster.num_replicas = 1;
+  options.fault_plan = plan;
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  constexpr int kKeys = 400;
+  {
+    auto client = (*cluster)->CreateClient();
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(client->Insert(DepartKey(i), DepartValue(i)).ok());
+    }
+  }
+  (*cluster)->FlushAllAsyncReplication();
+
+  const int rule = plan->AddRule(
+      {.kind = FaultKind::kDropRequest, .op = OpCode::kTransferBegin});
+  EXPECT_TRUE((*cluster)->manager(0)->Depart(1).ok());
+  plan->RemoveRule(rule);
+  EXPECT_GT(plan->stats().dropped_requests, 0u);
+  // Only moves whose transfer verified count as migrated.
+  EXPECT_EQ((*cluster)->manager(0)->stats().partitions_migrated, 0u);
+  const MembershipTable table = (*cluster)->TableSnapshot();
+  EXPECT_FALSE(table.Instance(1).alive);
+  EXPECT_TRUE(table.PartitionsOf(1).empty());
+
+  (*cluster)->FlushAllAsyncReplication();
+  EXPECT_EQ(UnreadableKeys(**cluster, kKeys), 0);
+}
+
+TEST(DepartureFailureTest, FailedTransferWithoutReplicasFailsTheDeparture) {
+  // With no replica to promote, a partition whose transfer failed has no
+  // other copy: it stays on the departing instance, which stays a member,
+  // and Depart reports the failure. A retry once transfers flow succeeds.
+  auto plan = std::make_shared<FaultPlan>();
+  LocalClusterOptions options;
+  options.num_instances = 3;
+  options.cluster.num_replicas = 0;
+  options.fault_plan = plan;
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  constexpr int kKeys = 100;
+  {
+    auto client = (*cluster)->CreateClient();
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(client->Insert(DepartKey(i), DepartValue(i)).ok());
+    }
+  }
+  const std::size_t owned = (*cluster)->TableSnapshot().PartitionsOf(1).size();
+  ASSERT_GT(owned, 0u);
+
+  const int rule = plan->AddRule(
+      {.kind = FaultKind::kDropRequest, .op = OpCode::kTransferBegin});
+  EXPECT_FALSE((*cluster)->manager(0)->Depart(1).ok());
+  plan->RemoveRule(rule);
+  EXPECT_TRUE((*cluster)->TableSnapshot().Instance(1).alive);
+  EXPECT_EQ((*cluster)->TableSnapshot().PartitionsOf(1).size(), owned);
+  EXPECT_EQ((*cluster)->manager(0)->stats().partitions_migrated, 0u);
+  EXPECT_EQ(UnreadableKeys(**cluster, kKeys), 0);
+
+  EXPECT_TRUE((*cluster)->manager(0)->Depart(1).ok());
+  EXPECT_EQ((*cluster)->manager(0)->stats().partitions_migrated, owned);
+  EXPECT_FALSE((*cluster)->TableSnapshot().Instance(1).alive);
+  EXPECT_EQ(UnreadableKeys(**cluster, kKeys), 0);
 }
 
 // ---- separated retry budgets ---------------------------------------------

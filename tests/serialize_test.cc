@@ -129,6 +129,20 @@ TEST(RequestTest, UnknownOpcodeRejected) {
   EXPECT_FALSE(Request::Decode(buf).ok());
 }
 
+TEST(RequestTest, RetiredOpcodesRejected) {
+  // 8 (REPLICATE, never sent) and 9-11 (the unverified migration trio)
+  // are retired: a peer still sending them gets kCorruption, not a
+  // misrouted handler.
+  for (std::uint64_t retired : {8, 9, 10, 11}) {
+    std::string buf;
+    wire::Writer w(&buf);
+    w.PutVarintField(1, retired);
+    auto decoded = Request::Decode(buf);
+    ASSERT_FALSE(decoded.ok()) << retired;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << retired;
+  }
+}
+
 TEST(RequestTest, GarbageRejectedNotCrash) {
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
@@ -171,8 +185,23 @@ TEST(ResponseTest, StatusObjectConversion) {
 }
 
 TEST(OpCodeTest, NamesCoverAllOps) {
-  for (int op = 1; op <= 22; ++op) {
-    EXPECT_NE(OpCodeName(static_cast<OpCode>(op)), "UNKNOWN") << op;
+  int known = 0;
+  for (int op = 0; op <= 255; ++op) {
+    const bool named = OpCodeName(static_cast<OpCode>(op)) != "UNKNOWN";
+    EXPECT_EQ(named, IsKnownOpCode(op)) << op;
+    known += named;
+  }
+  EXPECT_EQ(known, 18);
+  for (int retired : {8, 9, 10, 11}) EXPECT_FALSE(IsKnownOpCode(retired));
+  EXPECT_FALSE(IsKnownOpCode(0));
+  EXPECT_FALSE(IsKnownOpCode(256 + 2));  // no truncation to kLookup
+}
+
+// A uniformly drawn opcode the codec accepts (retired values excluded).
+OpCode RandomKnownOp(Rng& rng) {
+  for (;;) {
+    const std::uint64_t v = 1 + rng.Below(22);
+    if (IsKnownOpCode(v)) return static_cast<OpCode>(v);
   }
 }
 
@@ -183,7 +212,7 @@ TEST_P(EnvelopeFuzzTest, RandomRoundTrip) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   for (int i = 0; i < 200; ++i) {
     Request req;
-    req.op = static_cast<OpCode>(1 + rng.Below(22));
+    req.op = RandomKnownOp(rng);
     req.seq = rng.Next();
     req.key = rng.AsciiString(rng.Below(40));
     req.value = rng.AsciiString(rng.Below(200));

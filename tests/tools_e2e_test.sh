@@ -8,8 +8,19 @@ BUILD_DIR="$1"
 WORK=$(mktemp -d)
 PIDS=()
 cleanup() {
+  local status=$?
   if [ "${#PIDS[@]}" -gt 0 ]; then
     kill "${PIDS[@]}" 2>/dev/null || true
+    # Reap them so their ports are free before the next run binds.
+    wait "${PIDS[@]}" 2>/dev/null || true
+  fi
+  if [ "$status" -ne 0 ]; then
+    # Any failed check: show what every daemon said (bind errors, crashes).
+    for log in "$WORK"/s*.log; do
+      [ -e "$log" ] || continue
+      echo "---- $(basename "$log") ----"
+      cat "$log"
+    done
   fi
   rm -rf "$WORK"
 }
@@ -17,12 +28,14 @@ trap cleanup EXIT
 
 step() { echo "== $*"; }
 
+# Fixed ports below the kernel's ephemeral range (32768+ on Linux), so no
+# other test's outgoing sockets can be holding them.
 step "writing neighbor file"
 cat > "$WORK/neighbors.conf" <<NEIGH
-127.0.0.1:53910
-127.0.0.1:53911
-127.0.0.1:53912
-127.0.0.1:53913
+127.0.0.1:24310
+127.0.0.1:24311
+127.0.0.1:24312
+127.0.0.1:24313
 NEIGH
 
 step "starting 4 zht-server daemons"
@@ -32,13 +45,27 @@ for i in 0 1 2 3; do
   PIDS+=($!)
 done
 
-step "waiting for daemons to listen"
-for _ in $(seq 1 50); do
-  if "$BUILD_DIR/tools/zht-cli" --neighbors "$WORK/neighbors.conf" \
-      ping 3 2>/dev/null | grep -q OK; then
-    break
+step "waiting for every daemon to answer ping"
+for i in 0 1 2 3; do
+  for attempt in $(seq 1 50); do
+    if "$BUILD_DIR/tools/zht-cli" --neighbors "$WORK/neighbors.conf" \
+        ping "$i" 2>/dev/null | grep -q OK; then
+      break
+    fi
+    if [ "$attempt" -eq 50 ]; then
+      echo "daemon $i never answered ping" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+done
+# A daemon that failed to bind exits; a ping answered by some other
+# process on its port must not pass for it.
+for i in 0 1 2 3; do
+  if ! kill -0 "${PIDS[$i]}" 2>/dev/null; then
+    echo "daemon $i exited during startup" >&2
+    exit 1
   fi
-  sleep 0.1
 done
 
 cli() { "$BUILD_DIR/tools/zht-cli" --neighbors "$WORK/neighbors.conf" "$@"; }

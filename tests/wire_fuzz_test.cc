@@ -15,7 +15,9 @@ class WireFuzzTest : public ::testing::TestWithParam<int> {};
 
 Request RandomRequest(Rng& rng) {
   Request req;
-  req.op = static_cast<OpCode>(1 + rng.Below(22));
+  do {
+    req.op = static_cast<OpCode>(1 + rng.Below(22));
+  } while (!IsKnownOpCode(static_cast<std::uint64_t>(req.op)));
   req.seq = rng.Next();
   req.key = rng.AsciiString(rng.Below(30));
   req.value = rng.AsciiString(rng.Below(100));
@@ -42,6 +44,21 @@ TEST_P(WireFuzzTest, TruncatedRequestsNeverCrashOrAlias) {
     auto full = Request::Decode(encoded);
     ASSERT_TRUE(full.ok());
     EXPECT_EQ(*full, req);
+  }
+}
+
+TEST_P(WireFuzzTest, RetiredOpcodesNeverDecode) {
+  // Any otherwise valid request whose opcode is a retired wire value (8-11)
+  // must be rejected as corruption, whatever fields ride along.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 53);
+  for (int i = 0; i < 150; ++i) {
+    std::string encoded = RandomRequest(rng).Encode();
+    // Encode leads with the opcode field: tag byte, then a one-byte varint.
+    ASSERT_EQ(encoded[0], 0x08);
+    encoded[1] = static_cast<char>(8 + rng.Below(4));
+    auto decoded = Request::Decode(encoded);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
   }
 }
 

@@ -1,13 +1,21 @@
 // Unit tests of ZhtServer::Handle — the protocol state machine exercised
 // directly, without a cluster harness: ownership checks and REDIRECT
 // payloads, epoch piggybacking, MIGRATING responses, replica traffic,
-// membership pull/push, the migration message trio, and the append
-// dedup window.
+// membership pull/push, partition transfer (migration over the verified
+// Begin/Data/End stream, the per-partition lifecycle edges, shadow-store
+// ids), and the append dedup window.
+#include <future>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "core/zht_server.h"
 #include "net/loopback.h"
+#include "novoht/novoht.h"
 #include "serialize/metrics_codec.h"
+#include "serialize/wire.h"
 
 namespace zht {
 namespace {
@@ -47,6 +55,18 @@ class ZhtServerUnitTest : public ::testing::Test {
     request.key = key;
     request.value = value;
     request.epoch = table_.epoch();
+    return request;
+  }
+
+  // A partition-addressed transfer message (as a stream source sends it).
+  Request TransferRequest(OpCode op, PartitionId partition,
+                          std::string value = "") {
+    Request request;
+    request.op = op;
+    request.seq = ++seq_;
+    request.partition = partition;
+    request.value = std::move(value);
+    request.server_origin = true;
     return request;
   }
 
@@ -202,7 +222,8 @@ TEST_F(ZhtServerUnitTest, MigrationTrioMovesPairs) {
 TEST_F(ZhtServerUnitTest, SecondMigrationOfSamePartitionWhileActiveFails) {
   auto source = MakeServer(0);
   // Target that never answers: migration will hang on timeout — instead
-  // use a down address so MigrateBegin fails fast and the lock releases.
+  // use a down address so every transfer attempt fails fast and the
+  // partition resumes serving.
   NodeAddress dead = network_.Register([](Request&& req) {
     Response resp;
     resp.seq = req.seq;
@@ -217,6 +238,161 @@ TEST_F(ZhtServerUnitTest, SecondMigrationOfSamePartitionWhileActiveFails) {
   Response resp = source->Handle(DataRequest(OpCode::kLookup, key));
   EXPECT_TRUE(resp.ok());
   EXPECT_EQ(resp.value, "v");
+}
+
+TEST(PartitionStateTest, EdgeTableAcceptsExactlyTheListedEdges) {
+  using S = PartitionState;
+  const S all[] = {S::kServing, S::kSending, S::kHandedOff, S::kReceiving};
+  const std::set<std::pair<S, S>> legal = {
+      {S::kServing, S::kSending},     {S::kServing, S::kReceiving},
+      {S::kSending, S::kServing},     {S::kSending, S::kHandedOff},
+      {S::kHandedOff, S::kServing},   {S::kReceiving, S::kReceiving},
+      {S::kReceiving, S::kServing},
+  };
+  for (S from : all) {
+    for (S to : all) {
+      EXPECT_EQ(IsLegalTransition(from, to), legal.count({from, to}) == 1)
+          << static_cast<int>(from) << " -> " << static_cast<int>(to);
+    }
+  }
+  // The decision the edge table exists to pin: a transfer Begin arriving
+  // while this instance sends or has just handed off the partition.
+  EXPECT_FALSE(IsLegalTransition(S::kSending, S::kReceiving));
+  EXPECT_FALSE(IsLegalTransition(S::kHandedOff, S::kReceiving));
+}
+
+TEST_F(ZhtServerUnitTest, TransferBeginRefusedWhileSendingOrHandedOff) {
+  auto source = MakeServer(0);
+  // Destination whose first Begin blocks, holding the source in kSending.
+  std::promise<void> sending;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::once_flag hold;
+  auto target_slot = std::make_shared<AsyncRequestHandler>();
+  NodeAddress target_address = network_.Register(
+      [&, target_slot](Request&& req, ResponseCallback done) {
+        if (req.op == OpCode::kTransferBegin) {
+          std::call_once(hold, [&] {
+            sending.set_value();
+            released.wait();
+          });
+        }
+        (*target_slot)(std::move(req), std::move(done));
+      });
+  ZhtServerOptions target_options;
+  target_options.self = 1;
+  ZhtServer target(table_, target_options, transport_.get());
+  *target_slot = target.AsyncHandler();
+
+  std::string key = KeyOwnedBy(0);
+  ASSERT_TRUE(source->Handle(DataRequest(OpCode::kInsert, key, "v")).ok());
+  const PartitionId p = table_.PartitionOfKey(key);
+  std::future<Status> migrated = std::async(std::launch::async, [&] {
+    return source->MigratePartitionTo(p, target_address);
+  });
+  sending.get_future().wait();
+
+  // kSending: a competing stream's Begin is refused, and so are its Data
+  // and End (no landing was opened), so that stream can never verify.
+  EXPECT_EQ(source->Handle(TransferRequest(OpCode::kTransferBegin, p)).status,
+            Status(StatusCode::kMigrating).raw());
+  EXPECT_FALSE(source->Handle(TransferRequest(OpCode::kTransferData, p)).ok());
+  EXPECT_EQ(source
+                ->Handle(TransferRequest(OpCode::kTransferEnd, p,
+                                         PartitionDigest{}.Encode()))
+                .status,
+            Status(StatusCode::kCorruption).raw());
+  EXPECT_EQ(source->Handle(DataRequest(OpCode::kLookup, key)).status,
+            Status(StatusCode::kMigrating).raw());
+
+  release.set_value();
+  ASSERT_TRUE(migrated.get().ok());
+  EXPECT_EQ(target.TotalEntries(), 1u);
+
+  // kHandedOff: the table still names this instance owner; Begin is
+  // refused and data ops keep answering kMigrating.
+  EXPECT_EQ(source->Handle(TransferRequest(OpCode::kTransferBegin, p)).status,
+            Status(StatusCode::kMigrating).raw());
+  EXPECT_EQ(source->Handle(DataRequest(OpCode::kLookup, key)).status,
+            Status(StatusCode::kMigrating).raw());
+
+  // A table naming the new owner releases the handoff (no replicas, so
+  // the source leaves the chain): it redirects, and a later stream's Begin
+  // is accepted again.
+  MembershipTable moved = table_;
+  moved.SetOwner(p, 1);
+  Request push;
+  push.op = OpCode::kMembershipPush;
+  push.seq = ++seq_;
+  push.value = moved.EncodeDelta(table_.epoch());
+  push.server_origin = true;
+  ASSERT_TRUE(source->Handle(std::move(push)).ok());
+  EXPECT_EQ(source->Handle(DataRequest(OpCode::kLookup, key)).status,
+            Status(StatusCode::kRedirect).raw());
+  EXPECT_TRUE(source->Handle(TransferRequest(OpCode::kTransferBegin, p)).ok());
+}
+
+TEST(ZhtServerShadowTest, ShadowIdsNeverCollideWithCanonicalIds) {
+  // More than 2^20 partitions: a fixed shadow offset of 1 << 20 would put
+  // partition 3's landing pad on canonical partition 3 + 2^20.
+  constexpr std::uint32_t kPartitions = (1u << 20) + 16;
+  MembershipTable table = MembershipTable::CreateUniform(
+      kPartitions, {NodeAddress{"10.0.0.1", 50000}});
+  std::mutex mu;
+  std::vector<PartitionId> requested;
+  ZhtServerOptions options;
+  options.self = 0;
+  options.num_shards = 1;
+  options.store_factory = [&](InstanceId, PartitionId id) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      requested.push_back(id);
+    }
+    auto store = NoVoHT::Open(NoVoHTOptions{});
+    return store.ok() ? std::move(*store) : nullptr;
+  };
+  LoopbackNetwork network;
+  LoopbackTransport transport(&network);
+  ZhtServer server(table, options, &transport);
+
+  // One transfer of a single pair into each partition: a Data carrier
+  // (varint count, then varint key/value lengths and the bytes) and an End
+  // bearing the pair's digest.
+  std::string carrier;
+  wire::Writer w(&carrier);
+  w.PutVarint(1);
+  w.PutVarint(1);
+  w.PutVarint(1);
+  w.PutBytes("k");
+  w.PutBytes("v");
+  PartitionDigest digest;
+  digest.Add("k", "v");
+  const std::vector<PartitionId> canonical = {3, 3 + (1u << 20)};
+  std::uint64_t seq = 0;
+  for (PartitionId p : canonical) {
+    for (OpCode op : {OpCode::kTransferBegin, OpCode::kTransferData,
+                      OpCode::kTransferEnd}) {
+      Request request;
+      request.op = op;
+      request.seq = ++seq;
+      request.partition = p;
+      request.server_origin = true;
+      if (op == OpCode::kTransferData) request.value = carrier;
+      if (op == OpCode::kTransferEnd) request.value = digest.Encode();
+      ASSERT_TRUE(server.Handle(std::move(request)).ok());
+    }
+    EXPECT_EQ(server.PartitionPairs(p).size(), 1u);
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  // Two landing pads plus two canonical stores, all at distinct ids, and
+  // every landing id outside the canonical range.
+  ASSERT_EQ(requested.size(), 4u);
+  EXPECT_EQ(std::set<PartitionId>(requested.begin(), requested.end()).size(),
+            requested.size());
+  for (PartitionId id : requested) {
+    if (id == canonical[0] || id == canonical[1]) continue;
+    EXPECT_GE(id, kPartitions) << "landing id inside the canonical range";
+  }
 }
 
 TEST_F(ZhtServerUnitTest, DuplicateAppendDroppedOnce) {
