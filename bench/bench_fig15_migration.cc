@@ -6,6 +6,8 @@
 // doubling on their cluster; here absolute times are loopback-scale, the
 // claim is the flat trend.
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -39,21 +41,36 @@ int main() {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> background_ops{0};
   std::atomic<std::uint64_t> background_errors{0};
+  // Failed inserts by the status the client gave up with, so each failure
+  // is attributed to one cause: the kMigrating retry budget ("stuck
+  // migrating"), the hard budget spent on redirects or transport errors
+  // ("attempts exhausted"), or an unreachable node. Digits (partition ids)
+  // are masked so one cause is one row.
+  std::mutex errors_mu;
+  std::map<std::string, std::uint64_t> errors_by_status;
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&cluster, &stop, &background_ops,
-                          &background_errors, t] {
+                          &background_errors, &errors_mu, &errors_by_status,
+                          t] {
       ZhtClientOptions client_options;
       client_options.max_attempts = 12;
       auto client = (*cluster)->CreateClient(client_options);
       Workload w = MakeWorkload(512, 900 + t);
       std::size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        bool ok = client->Insert(w.keys[i % w.keys.size()],
-                                 w.values[i % w.keys.size()])
-                      .ok();
+        const Status status = client->Insert(w.keys[i % w.keys.size()],
+                                             w.values[i % w.keys.size()]);
         ++background_ops;
-        if (!ok) ++background_errors;
+        if (!status.ok()) {
+          ++background_errors;
+          std::string cause = status.ToString();
+          for (char& c : cause) {
+            if (c >= '0' && c <= '9') c = 'N';
+          }
+          std::lock_guard<std::mutex> lock(errors_mu);
+          ++errors_by_status[cause];
+        }
         ++i;
       }
     });
@@ -95,6 +112,13 @@ int main() {
               "succeed)\n",
               static_cast<unsigned long long>(background_ops.load()),
               static_cast<unsigned long long>(background_errors.load()));
+  if (!errors_by_status.empty()) {
+    std::printf("failed inserts by status:\n");
+    for (const auto& [cause, count] : errors_by_status) {
+      std::printf("  %-48s %llu\n", cause.c_str(),
+                  static_cast<unsigned long long>(count));
+    }
+  }
   Note("shape to reproduce: cost per doubling stays roughly constant with "
        "scale (each join moves half of ONE donor's partitions, independent "
        "of cluster size)");

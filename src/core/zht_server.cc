@@ -1,6 +1,8 @@
 #include "core/zht_server.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,6 +73,26 @@ bool IsDataOp(OpCode op) {
 // At-most-once window for the non-idempotent append, per shard (the shard
 // is the unit of single-threaded ownership, so dedup needs no lock).
 constexpr std::size_t kDedupWindow = 8192;
+
+// Most synchronous legs one lane carrier holds. Measured on the benchmark's
+// logged-write workload (1 KiB values): uncapped carriers reached ~230 legs
+// and their carrier-sized buffers on both peers grew each reactor's heap by
+// ~7 MB and left up to 50 MB stranded after shutdown; at 16 legs the heaps
+// match per-leg sends, and a full carrier already saves 15 of 16 round trips.
+constexpr std::size_t kMaxLegsPerCarrier = 16;
+
+// Allocates once so the calling thread takes its malloc arena now. glibc
+// gives a thread, at its first allocation, the arena an exited thread gave
+// up most recently. Pool threads that first allocate only after the
+// reactors' first requests would take the arenas of a stopped server's
+// reactors — heaps whose freed pages stay resident until something
+// allocates there again — and, allocating little, keep those pages for
+// their lifetime. Claimed at start, they take the pool threads' arenas
+// instead and the new reactors reuse the old reactors' heaps.
+void ClaimThreadArena() {
+  void* volatile probe = std::malloc(1);
+  std::free(probe);
+}
 
 // Streams issued per transfer leg before the target is abandoned (the first
 // attempt plus re-streams after a failed or mismatched End).
@@ -169,9 +191,11 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
   batch_hist_ = metrics_.GetHistogram("server.op.batch.latency_ns");
   batch_size_hist_ = metrics_.GetHistogram("server.batch.size");
   replication_fanout_hist_ = metrics_.GetHistogram("server.replication.fanout");
+  sync_batch_hist_ = metrics_.GetHistogram("server.replication.sync_batch");
   mailbox_depth_hist_ = metrics_.GetHistogram("server.mailbox.depth");
   replication_sync_counter_ = metrics_.GetCounter("server.replication.sync");
   replication_async_counter_ = metrics_.GetCounter("server.replication.async");
+  sync_failed_counter_ = metrics_.GetCounter("server.replication.sync_failed");
   redirect_counter_ = metrics_.GetCounter("server.redirects");
   forwards_counter_ = metrics_.GetCounter("reactor.forwards");
   mailbox_full_counter_ = metrics_.GetCounter("reactor.mailbox_full");
@@ -227,7 +251,20 @@ ZhtServer::~ZhtServer() {
   // variables are still alive: destroying a store joins its flusher
   // thread, which may still be exiting a signal (EnqueueFinisher,
   // OnRequestComplete) issued from its final durability callback.
-  for (auto& shard : shards_) shard->partitions.clear();
+  //
+  // They are freed on a thread of their own: its malloc cache goes back
+  // to the reactors' heaps when it exits, so those heaps shrink. Freed on
+  // the caller's thread, the first chunks of each size would stay in that
+  // thread's cache and keep the top of a reactor heap, and every freed page
+  // below it, resident.
+  auto close_stores = [this] {
+    for (auto& shard : shards_) shard->partitions.clear();
+  };
+  try {
+    std::thread(close_stores).join();
+  } catch (const std::system_error&) {
+    close_stores();  // no thread to spare: free them here
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -858,26 +895,24 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   auto fin = [this, resp = std::move(resp), request = std::move(request),
               plan = std::move(plan), partition, replicate, op, start,
               done = std::move(done)](Status durable) mutable {
-    bool do_replicate = replicate;
-    if (!durable.ok()) {
-      resp.status = durable.raw();
-      do_replicate = false;
-    }
-    if (!do_replicate) {
+    if (!durable.ok()) resp.status = durable.raw();
+    if (!replicate || !durable.ok()) {
       done(std::move(resp));
       RecordDataOpLatency(op, start);
       return;
     }
-    // A synchronous hop to the secondary keeps primary+secondary strongly
-    // consistent; it is peer I/O, so it runs on a finisher, never inside a
-    // shard drain or a flusher callback.
-    EnqueueFinisher([this, resp = std::move(resp),
-                     request = std::move(request), plan = std::move(plan),
-                     partition, op, start, done = std::move(done)]() mutable {
-      ReplicateSync(request, partition, plan);
+    // The ack waits for the synchronous legs, which keep primary and
+    // secondary strongly consistent. They queue in their destinations'
+    // lanes in apply order (this runs in-shard, or on the store's flusher
+    // in commit order); a finisher does the peer I/O.
+    auto ack = std::make_shared<AckCountdown>();
+    ack->fire = [this, resp = std::move(resp), op, start,
+                 done = std::move(done)]() mutable {
       done(std::move(resp));
       RecordDataOpLatency(op, start);
-    });
+    };
+    Replicate(std::move(request), partition, plan, ack, nullptr);
+    ack->Release();
   };
   if (token != 0) {
     // Ack parks on the store's flusher; no thread blocks for the group
@@ -915,6 +950,8 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
   gather->partitions.assign(n, 0);
   gather->plans.resize(n);
   gather->done = std::move(done);
+  // Raw pointer: whoever releases the last unit holds a reference.
+  gather->ack.fire = [this, g = gather.get()] { FinalizeBatch(*g); };
 
   // Scatter: group sub-op indices by owning shard; each group lands in its
   // shard's mailbox and fills disjoint response slots.
@@ -939,11 +976,10 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
     if (!indices.empty()) ++active_groups;
   }
   if (active_groups == 0) {
-    gather->remaining.store(1, kRelaxed);
-    CompleteBatchGroup(gather);
+    gather->ack.Release();
     return;
   }
-  gather->remaining.store(active_groups, kRelaxed);
+  gather->ack.pending.store(active_groups, kRelaxed);
   const bool server_batch = request.server_origin;
   for (std::size_t s = 0; s < groups.size(); ++s) {
     if (groups[s].empty()) continue;
@@ -965,7 +1001,7 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
         }
         stats_.sheds.fetch_add(groups[s].size(), kRelaxed);
         shed_counter_->Increment(groups[s].size());
-        CompleteBatchGroup(gather);
+        gather->ack.Release();
         continue;
       }
     }
@@ -1080,90 +1116,80 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
 
   // Durable ack, once per touched store: tokens are captured after every
   // sub-op applied (monotone, so the latest covers them all), and one
-  // NotifyDurable per store parks on its flusher. The last callback fixes
-  // any failed partitions' sub-ops and reports the group done.
+  // NotifyDurable per store parks on its flusher. Each store's callback
+  // queues the replication legs of its own sub-ops — in the store's commit
+  // order, like single ops — or fails them if the sync failed; the last
+  // callback reports the group done.
   std::erase_if(touched, [](TouchedStore& t) {
     t.token = t.store->last_commit_token();
     return t.token == 0;
   });
   if (touched.empty()) {
-    CompleteBatchGroup(gather);
+    ReplicateBatchGroup(gather, indices, std::nullopt);
+    gather->ack.Release();
     return;
   }
 
   struct GroupDurable {
     std::vector<std::size_t> indices;
-    std::vector<std::pair<PartitionId, Status>> results;
     std::atomic<std::size_t> pending{0};
   };
   auto group = std::make_shared<GroupDurable>();
   group->indices = std::move(indices);
-  group->results.resize(touched.size());
   group->pending.store(touched.size(), kRelaxed);
-  for (std::size_t j = 0; j < touched.size(); ++j) {
-    const PartitionId partition = touched[j].partition;
-    touched[j].store->NotifyDurable(
-        touched[j].token, [this, gather, group, j, partition](Status status) {
-          group->results[j] = {partition, status};
-          if (group->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-            return;
+  for (const TouchedStore& t : touched) {
+    const PartitionId partition = t.partition;
+    t.store->NotifyDurable(t.token, [this, gather, group,
+                                     partition](Status status) {
+      if (status.ok()) {
+        ReplicateBatchGroup(gather, group->indices, partition);
+      } else {
+        // Sub-ops on a store that failed to sync were never durable: fail
+        // them; they are not replicated.
+        for (std::size_t i : group->indices) {
+          Response& sub = gather->responses[i];
+          if (gather->partitions[i] != partition || !sub.ok() ||
+              gather->ops[i].op == OpCode::kLookup) {
+            continue;
           }
-          std::unordered_set<PartitionId> failed;
-          for (const auto& [p, st] : group->results) {
-            if (!st.ok()) failed.insert(p);
-          }
-          if (!failed.empty()) {
-            // Sub-ops on a store that failed to sync were never durable:
-            // fail them and drop their replication legs.
-            for (std::size_t i : group->indices) {
-              if (gather->ops[i].op == OpCode::kLookup) continue;
-              if (!failed.count(gather->partitions[i])) continue;
-              if (!gather->responses[i].ok()) continue;
-              gather->responses[i].status =
-                  Status(StatusCode::kInternal).raw();
-              gather->replicate[i] = 0;
-            }
-          }
-          CompleteBatchGroup(gather);
-        });
+          sub.status = Status(StatusCode::kInternal).raw();
+        }
+      }
+      if (group->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        gather->ack.Release();
+      }
+    });
   }
 }
 
-void ZhtServer::CompleteBatchGroup(
-    const std::shared_ptr<BatchGather>& gather) {
-  if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinalizeBatch(gather);
+void ZhtServer::ReplicateBatchGroup(const std::shared_ptr<BatchGather>& gather,
+                                    const std::vector<std::size_t>& indices,
+                                    std::optional<PartitionId> partition) {
+  // Legs hold the gather through its countdown (aliasing), so the carrier
+  // outlives every leg that still has to answer for it.
+  const std::shared_ptr<AckCountdown> ack(gather, &gather->ack);
+  AsyncGroups async_groups;
+  for (std::size_t i : indices) {
+    // Partition first: other stores' callbacks own the other slots.
+    if (partition && gather->partitions[i] != *partition) continue;
+    if (!gather->replicate[i] || !gather->responses[i].ok()) continue;
+    Replicate(std::move(gather->ops[i]), gather->partitions[i],
+              gather->plans[i], ack, &async_groups);
+  }
+  // Further replicas receive the group's writes as a unit too: one queued
+  // BATCH carrier per member.
+  for (auto& [id, group] : async_groups) {
+    Request packed = PackBatchRequest(group.second, group.second.front().seq,
+                                      /*server_origin=*/true);
+    EnqueueAsyncReplication(std::move(packed), group.first);
   }
 }
 
-void ZhtServer::FinalizeBatch(const std::shared_ptr<BatchGather>& gather) {
+void ZhtServer::FinalizeBatch(BatchGather& gather) {
   BatchResponse out;
-  out.responses = std::move(gather->responses);
-  std::vector<Request> rep_ops;
-  std::vector<PartitionId> rep_parts;
-  std::vector<ReplicaPlan> rep_plans;
-  for (std::size_t i = 0; i < gather->ops.size(); ++i) {
-    if (!gather->replicate[i] || !out.responses[i].ok()) continue;
-    rep_ops.push_back(std::move(gather->ops[i]));
-    rep_parts.push_back(gather->partitions[i]);
-    rep_plans.push_back(std::move(gather->plans[i]));
-  }
-  Response packed = PackBatchResponse(out, gather->seq, gather->epoch);
-  if (rep_ops.empty()) {
-    batch_hist_->Record(SystemClock::Instance().Now() - gather->start);
-    gather->done(std::move(packed));
-    return;
-  }
-  // Replication is peer I/O: a finisher runs it, then completes the
-  // carrier — the client's wait covers the synchronous secondary leg.
-  EnqueueFinisher(
-      [this, packed = std::move(packed), rep_ops = std::move(rep_ops),
-       rep_parts = std::move(rep_parts), rep_plans = std::move(rep_plans),
-       start = gather->start, done = std::move(gather->done)]() mutable {
-        ReplicateBatchResolved(std::move(rep_ops), rep_parts, rep_plans);
-        batch_hist_->Record(SystemClock::Instance().Now() - start);
-        done(std::move(packed));
-      });
+  out.responses = std::move(gather.responses);
+  batch_hist_->Record(SystemClock::Instance().Now() - gather.start);
+  gather.done(PackBatchResponse(out, gather.seq, gather.epoch));
 }
 
 // ---------------------------------------------------------------------------
@@ -1755,18 +1781,19 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
 }
 
 // ---------------------------------------------------------------------------
-// Replication (finisher/async-worker threads; addresses pre-resolved)
+// Replication: per-destination sync lanes drained on finishers, async legs
+// on the async worker (addresses pre-resolved in-shard)
 // ---------------------------------------------------------------------------
 
-void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
-                              const ReplicaPlan& plan) {
-  Request forward = original;
-  forward.server_origin = true;
-  forward.partition = partition;
-
+void ZhtServer::Replicate(Request&& op, PartitionId partition,
+                          const ReplicaPlan& plan,
+                          const std::shared_ptr<AckCountdown>& ack,
+                          AsyncGroups* async_groups) {
+  op.server_origin = true;
+  op.partition = partition;
+  const std::size_t members = plan.chain.size();
   // Fan-out of this mutation: every chain member beyond the primary.
-  replication_fanout_hist_->Record(
-      static_cast<std::int64_t>(plan.chain.size()) - 1);
+  replication_fanout_hist_->Record(static_cast<std::int64_t>(members) - 1);
 
   // Leg i is synchronous when it is the secondary (with sync_secondary) or
   // the plan demands every leg synchronous (failover accepts). A member
@@ -1774,107 +1801,116 @@ void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
   // after the stream's End (the queue is FIFO per destination — the
   // catch-up replay ordering).
   const std::size_t sync_end =
-      plan.all_sync ? plan.chain.size()
+      plan.all_sync ? members
                     : (options_.sync_secondary ? std::size_t{2}
                                                : std::size_t{1});
-  for (std::size_t i = 1; i < plan.chain.size(); ++i) {
-    Request leg = forward;
+  for (std::size_t i = 1; i < members; ++i) {
+    Request leg = i + 1 == members ? std::move(op) : op;
     leg.replica_index = static_cast<std::uint8_t>(i);
     const bool diverted = plan.via_async.size() > i && plan.via_async[i];
     if (i < sync_end && !diverted) {
       stats_.replications_sync.fetch_add(1, kRelaxed);
       replication_sync_counter_->Increment();
-      auto result = peer_transport_->Call(plan.addresses[i], leg,
-                                          options_.cluster.peer_timeout);
-      if (!result.ok()) {
-        ZHT_WARN << "sync replication to " << plan.addresses[i].ToString()
-                 << " failed: " << result.status().ToString();
-      }
+      EnqueueSyncLeg(std::move(leg), plan.addresses[i], ack);
+      continue;
+    }
+    replication_async_counter_->Increment();
+    stats_.replications_async.fetch_add(1, kRelaxed);
+    if (async_groups) {
+      auto& group = (*async_groups)[plan.chain[i]];
+      group.first = plan.addresses[i];
+      group.second.push_back(std::move(leg));
     } else {
       EnqueueAsyncReplication(std::move(leg), plan.addresses[i]);
-      replication_async_counter_->Increment();
-      stats_.replications_async.fetch_add(1, kRelaxed);
     }
   }
 }
 
-void ZhtServer::ReplicateBatchResolved(
-    std::vector<Request> ops, const std::vector<PartitionId>& partitions,
-    const std::vector<ReplicaPlan>& plans) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    ops[i].server_origin = true;
-    ops[i].partition = partitions[i];
+void ZhtServer::EnqueueSyncLeg(Request&& leg, const NodeAddress& to,
+                               const std::shared_ptr<AckCountdown>& ack) {
+  SyncLane* lane;
+  {
+    std::lock_guard<std::mutex> lock(lanes_mu_);
+    std::unique_ptr<SyncLane>& slot = lanes_[to];
+    if (!slot) {
+      slot = std::make_unique<SyncLane>();
+      slot->to = to;
+    }
+    lane = slot.get();
   }
-  for (const ReplicaPlan& plan : plans) {
-    replication_fanout_hist_->Record(
-        static_cast<std::int64_t>(plan.chain.size()) - 1);
+  ack->Add(1);
+  bool schedule = false;
+  {
+    std::lock_guard<std::mutex> lock(lane->mu);
+    lane->queued.push_back(std::move(leg));
+    lane->acks.push_back(ack);
+    schedule = !lane->draining;
+    lane->draining = true;
   }
+  if (schedule) EnqueueFinisher([this, lane] { DrainLane(*lane); });
+}
 
-  // Synchronous legs: the secondary of each plan (or every member of an
-  // all_sync plan), grouped by target and pushed as one pipelined BATCH
-  // call before acknowledging the client. A member mid-rebuild diverts
-  // behind its stream instead.
-  auto plan_sync_end = [this](const ReplicaPlan& plan) {
-    if (plan.all_sync) return plan.chain.size();
-    return options_.sync_secondary ? std::size_t{2} : std::size_t{1};
+void ZhtServer::DrainLane(SyncLane& lane) {
+  {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    const auto n = static_cast<std::ptrdiff_t>(
+        std::min(lane.queued.size(), kMaxLegsPerCarrier));
+    lane.sending.assign(std::make_move_iterator(lane.queued.begin()),
+                        std::make_move_iterator(lane.queued.begin() + n));
+    lane.queued.erase(lane.queued.begin(), lane.queued.begin() + n);
+    lane.sending_acks.assign(std::make_move_iterator(lane.acks.begin()),
+                             std::make_move_iterator(lane.acks.begin() + n));
+    lane.acks.erase(lane.acks.begin(), lane.acks.begin() + n);
+  }
+  // Self-clocking: an idle lane ships each leg alone, a busy one whatever
+  // queued during the previous round trip. One leg travels as a plain
+  // request, so it costs no envelope.
+  const std::size_t legs = lane.sending.size();
+  sync_batch_hist_->Record(static_cast<std::int64_t>(legs));
+  const Nanos timeout = options_.cluster.peer_timeout;
+  std::size_t failed = 0;
+  Status first_failure;
+  auto note = [&](Status status) {
+    if (first_failure.ok()) first_failure = std::move(status);
+    ++failed;
   };
-  if (options_.sync_secondary) {
-    std::unordered_map<InstanceId,
-                       std::pair<NodeAddress, std::vector<Request>>>
-        groups;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const ReplicaPlan& plan = plans[i];
-      const std::size_t sync_end =
-          std::min(plan_sync_end(plan), plan.chain.size());
-      for (std::size_t r = 1; r < sync_end; ++r) {
-        Request forward = ops[i];
-        forward.replica_index = static_cast<std::uint8_t>(r);
-        if (plan.via_async.size() > r && plan.via_async[r]) {
-          // Member mid-rebuild: divert the leg behind the stream.
-          replication_async_counter_->Increment();
-          stats_.replications_async.fetch_add(1, kRelaxed);
-          EnqueueAsyncReplication(std::move(forward), plan.addresses[r]);
-          continue;
-        }
-        auto& group = groups[plan.chain[r]];
-        group.first = plan.addresses[r];
-        group.second.push_back(std::move(forward));
-      }
+  if (legs == 1) {
+    auto result = peer_transport_->Call(lane.to, lane.sending.front(), timeout);
+    if (!result.ok()) {
+      note(result.status());
+    } else if (!result->ok()) {
+      note(result->status_as_object());
     }
-    for (auto& [target_id, group] : groups) {
-      stats_.replications_sync.fetch_add(group.second.size(), kRelaxed);
-      replication_sync_counter_->Increment(group.second.size());
-      auto result = peer_transport_->CallBatch(group.first, group.second,
-                                               options_.cluster.peer_timeout);
-      if (!result.ok()) {
-        ZHT_WARN << "sync batch replication to " << group.first.ToString()
-                 << " failed: " << result.status().ToString();
+  } else {
+    auto results = peer_transport_->CallBatch(lane.to, lane.sending, timeout);
+    if (!results.ok()) {
+      for (std::size_t i = 0; i < legs; ++i) note(results.status());
+    } else {
+      for (const Response& sub : *results) {
+        if (!sub.ok()) note(sub.status_as_object());
       }
     }
   }
-
-  // Asynchronous legs: one queued BATCH carrier per (replica slot, target)
-  // group, so further replicas also receive the batch as a unit.
-  std::unordered_map<InstanceId, std::pair<NodeAddress, std::vector<Request>>>
-      async_groups;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const std::size_t first_async =
-        options_.sync_secondary ? plan_sync_end(plans[i]) : std::size_t{1};
-    for (std::size_t r = first_async; r < plans[i].chain.size(); ++r) {
-      Request forward = ops[i];
-      forward.replica_index = static_cast<std::uint8_t>(r);
-      auto& group = async_groups[plans[i].chain[r]];
-      group.first = plans[i].addresses[r];
-      group.second.push_back(std::move(forward));
+  if (failed != 0) {
+    // Logged and counted, and the writes are still acked; the next
+    // anti-entropy probe of the partition (StartRebuild) repairs the copy.
+    sync_failed_counter_->Increment(failed);
+    ZHT_WARN << "sync replication to " << lane.to.ToString() << ": " << failed
+             << " of " << legs << " legs failed: " << first_failure.ToString();
+  }
+  for (const auto& ack : lane.sending_acks) ack->Release();
+  lane.sending.clear();
+  lane.sending_acks.clear();
+  {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    if (lane.queued.empty()) {
+      lane.draining = false;
+      return;
     }
   }
-  for (auto& [target_id, group] : async_groups) {
-    Request packed = PackBatchRequest(group.second, group.second.front().seq,
-                                      /*server_origin=*/true);
-    replication_async_counter_->Increment(group.second.size());
-    stats_.replications_async.fetch_add(group.second.size(), kRelaxed);
-    EnqueueAsyncReplication(std::move(packed), group.first);
-  }
+  // More queued during the round trip: go to the back of the finisher
+  // queue, so lanes to other peers and digest probes get their turn.
+  EnqueueFinisher([this, &lane] { DrainLane(lane); });
 }
 
 void ZhtServer::EnqueueAsyncReplication(Request request,
@@ -1894,6 +1930,7 @@ void ZhtServer::EnqueueAsyncLeg(
 }
 
 void ZhtServer::AsyncReplicationLoop() {
+  ClaimThreadArena();
   for (;;) {
     AsyncLeg item;
     {
@@ -1927,10 +1964,11 @@ void ZhtServer::AsyncReplicationLoop() {
 
 void ZhtServer::FlushAsyncReplication() {
   // Quiesce both pools that carry background peer I/O: the async replication
-  // queue AND the finisher pool (rebuild digest probes and checkpoint streams
-  // run on finishers, not the async queue). Each pool can enqueue into the
-  // other — a probe schedules streams, a stream completion posts follow-up
-  // work — so loop until one pass observes both idle.
+  // queue AND the finisher pool (sync-lane drains and rebuild digest probes;
+  // a lane with queued legs always has a drain job queued or running). Each
+  // pool can enqueue into the other — a probe schedules streams, a stream
+  // completion posts follow-up work — so loop until one pass observes both
+  // idle.
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
@@ -1958,6 +1996,7 @@ void ZhtServer::EnqueueFinisher(std::function<void()> job) {
 }
 
 void ZhtServer::FinisherLoop() {
+  ClaimThreadArena();
   for (;;) {
     std::function<void()> job;
     {

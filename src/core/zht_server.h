@@ -33,9 +33,11 @@
 // membership push applies on shard 0 (the epoch authority) then fans the
 // payload to every other shard before acking. Durability acks park on the
 // store's flusher via KVStore::NotifyDurable — no thread blocks in the
-// server for a group commit. Synchronous replication legs run on a small
-// finisher pool and partition transfers on the ordered async-leg worker,
-// so shard drains never do network I/O.
+// server for a group commit. Synchronous replication legs queue in one
+// FIFO lane per destination, which a finisher drains as pipelined BATCH
+// carriers (one carrier in flight per lane, so a key's writes reach the
+// secondary in the order the primary applied them); partition transfers
+// ride the ordered async-leg worker. Shard drains never do network I/O.
 //
 // Blocking adapters (Handle, MigratePartitionTo, RepairPartition,
 // TotalEntries, MetricsSnapshotNow) exist for tests, tools, and managers.
@@ -462,9 +464,43 @@ class ZhtServer {
     bool all_sync = false;
   };
 
+  // Completion count for one acknowledgement: a unit per part still
+  // pending (a guard held by the code that adds parts, a BATCH shard group,
+  // a synchronous leg). The release that brings it to zero runs `fire`
+  // once; Add must happen before the adder releases its own unit.
+  struct AckCountdown {
+    std::atomic<std::size_t> pending{1};
+    std::function<void()> fire;
+    void Add(std::size_t n) { pending.fetch_add(n, std::memory_order_relaxed); }
+    void Release() {
+      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        auto run = std::move(fire);
+        run();
+      }
+    }
+  };
+
+  // One destination's synchronous legs, in the order their writes were
+  // applied. At most one drain job per lane is scheduled or running; it
+  // ships what is queued (up to a per-carrier cap) as one carrier, so
+  // carriers grow with the load the way group commit does and never
+  // overtake each other.
+  struct SyncLane {
+    NodeAddress to;
+    std::mutex mu;
+    std::vector<Request> queued;                      // guarded by mu
+    std::vector<std::shared_ptr<AckCountdown>> acks;  // parallel; by mu
+    bool draining = false;                            // guarded by mu
+    // The carrier in flight: touched only by the lane's one drain job, and
+    // kept between carriers so a busy lane reuses their capacity.
+    std::vector<Request> sending;
+    std::vector<std::shared_ptr<AckCountdown>> sending_acks;
+  };
+
   // Scatter/gather state for a BATCH spanning shard owners. Each shard
-  // group fills its own disjoint response slots; the last group to finish
-  // its durability wait finalizes the carrier.
+  // group fills its own disjoint response slots; `ack` counts the groups
+  // still running plus the sync legs they queued, and its last release
+  // finalizes the carrier.
   struct BatchGather {
     std::uint64_t seq = 0;
     std::uint32_t epoch = 0;
@@ -475,7 +511,7 @@ class ZhtServer {
     std::vector<PartitionId> partitions;
     std::vector<ReplicaPlan> plans;
     std::atomic<bool> delta_sent{false};  // one membership delta per batch
-    std::atomic<std::size_t> remaining{0};  // shard groups still running
+    AckCountdown ack;
     ResponseCallback done;
   };
 
@@ -549,8 +585,12 @@ class ZhtServer {
   void StartBatch(Request&& request, ResponseCallback done);  // ingress
   void ExecBatchGroup(Shard& shard, const std::shared_ptr<BatchGather>& gather,
                       std::vector<std::size_t> indices);
-  void CompleteBatchGroup(const std::shared_ptr<BatchGather>& gather);
-  void FinalizeBatch(const std::shared_ptr<BatchGather>& gather);
+  // Queues the replication legs of the group's sub-ops that are durable:
+  // those in `partition`, or every one when `partition` is empty.
+  void ReplicateBatchGroup(const std::shared_ptr<BatchGather>& gather,
+                           const std::vector<std::size_t>& indices,
+                           std::optional<PartitionId> partition);
+  void FinalizeBatch(BatchGather& gather);
 
   void StartMembershipPush(Request&& request, ResponseCallback done);
   void ExecBroadcast(Shard& shard, Request&& request, ResponseCallback done);
@@ -599,12 +639,23 @@ class ZhtServer {
   std::vector<ShardCensus> AwaitCensus() const;
   MetricsSnapshot BuildSnapshot(const std::vector<ShardCensus>& census) const;
 
-  // --- replication (finisher/async threads; addresses pre-resolved) ---
-  void ReplicateSync(const Request& original, PartitionId partition,
-                     const ReplicaPlan& plan);
-  void ReplicateBatchResolved(std::vector<Request> ops,
-                              const std::vector<PartitionId>& partitions,
-                              const std::vector<ReplicaPlan>& plans);
+  // --- replication (addresses pre-resolved in-shard) ---
+  // Async legs of several writes bound for one member, packed into one
+  // BATCH carrier per member (keyed by instance id).
+  using AsyncGroups =
+      std::unordered_map<InstanceId,
+                         std::pair<NodeAddress, std::vector<Request>>>;
+  // Fans one applied, durable write out along its plan: synchronous legs
+  // into their destinations' lanes (each adds a unit to `ack`), the rest
+  // to the async worker — or into `async_groups` when given.
+  void Replicate(Request&& op, PartitionId partition, const ReplicaPlan& plan,
+                 const std::shared_ptr<AckCountdown>& ack,
+                 AsyncGroups* async_groups);
+  void EnqueueSyncLeg(Request&& leg, const NodeAddress& to,
+                      const std::shared_ptr<AckCountdown>& ack);
+  // Finisher job: ships one lane's queued legs as one carrier, releases
+  // their acks, and reschedules itself while legs remain.
+  void DrainLane(SyncLane& lane);
   void EnqueueAsyncReplication(Request request, const NodeAddress& target);
   // As above, plus a completion hook run on the async worker with the
   // peer's result (rebuild End verification). Null hook = fire-and-forget.
@@ -659,9 +710,13 @@ class ZhtServer {
   Histogram* batch_hist_ = nullptr;       // whole-batch service time
   Histogram* batch_size_hist_ = nullptr;  // sub-ops per BATCH envelope
   Histogram* replication_fanout_hist_ = nullptr;  // replicas per mutation
+  Histogram* sync_batch_hist_ = nullptr;  // sync legs per lane carrier
   Histogram* mailbox_depth_hist_ = nullptr;       // all shards merged
   Counter* replication_sync_counter_ = nullptr;
   Counter* replication_async_counter_ = nullptr;
+  // Sync legs that failed (transport error or a non-OK sub-response) whose
+  // write was acked anyway.
+  Counter* sync_failed_counter_ = nullptr;
   Counter* redirect_counter_ = nullptr;
   Counter* forwards_counter_ = nullptr;      // reactor.forwards
   Counter* mailbox_full_counter_ = nullptr;  // reactor.mailbox_full
@@ -706,8 +761,13 @@ class ZhtServer {
   mutable std::mutex idle_mu_;
   mutable std::condition_variable idle_cv_;
 
-  // Finisher pool: synchronous replication legs, migration streaming,
-  // batch replication — peer I/O that must never run inside a shard drain.
+  // Synchronous-leg lanes, one per destination, created on first use and
+  // kept for the server's lifetime (drain jobs hold raw pointers).
+  std::mutex lanes_mu_;
+  std::unordered_map<NodeAddress, std::unique_ptr<SyncLane>> lanes_;
+
+  // Finisher pool: lane drains and rebuild digest probes — peer I/O that
+  // must never run inside a shard drain.
   std::mutex finisher_mu_;
   std::condition_variable finisher_cv_;
   // Separate CV for idle waiters (FlushAsyncReplication): EnqueueFinisher's

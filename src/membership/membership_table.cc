@@ -348,6 +348,12 @@ Status MembershipTable::ApplyUpdate(std::string_view data) {
       if (partition >= partition_owner_.size()) {
         return Status(StatusCode::kCorruption, "delta partition range");
       }
+      // An owner this table has no record of (its join change was never
+      // applied here) would make every later lookup of the partition read
+      // past the instance list; the caller resyncs from a full snapshot.
+      if (owner >= instances_.size()) {
+        return Status(StatusCode::kCorruption, "delta names unknown owner");
+      }
       partition_owner_[partition] = static_cast<InstanceId>(owner);
       epoch_ = static_cast<std::uint32_t>(change_epoch);
       RecordChange(Change{

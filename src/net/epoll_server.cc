@@ -364,7 +364,7 @@ void EpollServer::ProcessBuffered(Reactor& r, int fd) {
       Response response;
       response.status = Status(StatusCode::kCorruption).raw();
       const std::uint64_t slot = conn.next_slot++;
-      CompleteLocal(r, fd, conn.id, slot, FrameMessage(response.Encode()));
+      CompleteLocal(r, fd, conn.id, slot, FrameEncoded(response));
       continue;
     }
     if (!conn.placed) {
@@ -411,7 +411,7 @@ void EpollServer::CompleteResponse(std::size_t reactor, int fd,
                                    std::uint64_t conn_id, std::uint64_t slot,
                                    Response&& response) {
   Reactor& r = *reactors_[reactor];
-  std::string encoded = FrameMessage(response.Encode());
+  std::string encoded = FrameEncoded(response);
   // Inline when already on the owning reactor's thread (the hot path: the
   // handler completed synchronously inside ProcessBuffered) and when the
   // loops are not running (tests drive ProcessBuffered directly).

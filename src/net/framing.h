@@ -22,6 +22,26 @@ inline std::string FrameMessage(std::string_view payload) {
   return out;
 }
 
+// Frames an envelope (Request/Response) in one allocation: the length
+// prefix, then the message encoded in place. `out` may already hold earlier
+// frames (a pipelined burst).
+template <typename Message>
+void AppendFramed(const Message& message, std::string* out) {
+  const std::size_t n = message.EncodedSize();
+  out->reserve(out->size() + 4 + n);
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((n >> (8 * i)) & 0xff));
+  }
+  message.EncodeTo(out);
+}
+
+template <typename Message>
+std::string FrameEncoded(const Message& message) {
+  std::string out;
+  AppendFramed(message, &out);
+  return out;
+}
+
 // Cursor-based frame extractor: reads the next complete frame at *offset
 // and advances *offset past it, WITHOUT mutating the buffer. Draining a
 // pipelined burst is O(bytes) total — the caller compacts the consumed

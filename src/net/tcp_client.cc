@@ -196,7 +196,7 @@ Result<Response> TcpClient::Call(const NodeAddress& to, const Request& request,
                                  Nanos timeout) {
   const Clock& clock = SystemClock::Instance();
   const Nanos deadline = clock.Now() + timeout;
-  const std::string frame = FrameMessage(request.Encode());
+  const std::string frame = FrameEncoded(request);
 
   // A cached connection may have gone stale (server restarted, idle
   // timeout): a failure on a cached socket earns exactly one retry on a
@@ -249,13 +249,19 @@ Result<std::vector<Response>> TcpClient::CallBatch(
   // Chunk under the frame budget, then concatenate every chunk's BATCH
   // frame: one write puts the whole pipeline on the wire before the first
   // response is read.
-  auto chunks = ChunkBatch(requests, options_.max_batch_bytes);
-  std::string wire_bytes;
+  const auto chunks = ChunkBatch(requests, options_.max_batch_bytes);
+  std::vector<Request> carriers;
+  carriers.reserve(chunks.size());
+  std::size_t wire_size = 0;
   std::uint64_t seq = requests.front().seq != 0 ? requests.front().seq : 1;
   for (const auto& chunk : chunks) {
-    Request carrier = PackBatchRequest(chunk, seq++);
-    wire_bytes += FrameMessage(carrier.Encode());
+    carriers.push_back(PackBatchRequest(chunk, seq++));
+    wire_size += 4 + carriers.back().EncodedSize();
   }
+  std::string wire_bytes;
+  wire_bytes.reserve(wire_size);
+  for (const Request& carrier : carriers) AppendFramed(carrier, &wire_bytes);
+  carriers.clear();
 
   for (int round = 0; round < 2; ++round) {
     bool from_cache = false;

@@ -113,7 +113,7 @@ void ThreadedServer::ServeConnection(int fd) {
       } else {
         response.status = Status(StatusCode::kCorruption).raw();
       }
-      std::string frame = FrameMessage(response.Encode());
+      std::string frame = FrameEncoded(response);
       std::size_t written = 0;
       while (written < frame.size()) {
         ssize_t w = ::write(fd, frame.data() + written,

@@ -9,29 +9,32 @@ namespace {
 // malicious header cannot balloon memory before the payload check fails.
 constexpr std::uint64_t kMaxBatchOps = 1u << 20;
 
-std::size_t EncodedSliceSize(const std::string& encoded) {
-  // varint length prefix (≤5 bytes for any sane message) + payload.
-  std::size_t n = encoded.size();
-  std::size_t prefix = 1;
-  while (n >= 128) {
-    n >>= 7;
-    ++prefix;
+// A length-delimited slice: varint length prefix + payload.
+std::size_t SliceSize(std::size_t payload) {
+  return wire::VarintSize(payload) + payload;
+}
+
+// varint count, then per message a length-delimited encoding, written into
+// one buffer sized up front (no per-message temporaries).
+template <typename Message>
+std::string EncodeSlices(std::span<const Message> messages) {
+  std::size_t total = wire::VarintSize(messages.size());
+  for (const Message& m : messages) total += SliceSize(m.EncodedSize());
+  std::string out;
+  out.reserve(total);
+  wire::Writer w(&out);
+  w.PutVarint(messages.size());
+  for (const Message& m : messages) {
+    w.PutVarint(m.EncodedSize());
+    m.EncodeTo(&out);
   }
-  return prefix + encoded.size();
+  return out;
 }
 
 }  // namespace
 
 std::string BatchRequest::Encode() const {
-  std::string out;
-  wire::Writer w(&out);
-  w.PutVarint(ops.size());
-  for (const Request& op : ops) {
-    std::string encoded = op.Encode();
-    w.PutVarint(encoded.size());
-    w.PutBytes(encoded);
-  }
-  return out;
+  return EncodeSlices(std::span<const Request>(ops));
 }
 
 Result<BatchRequest> BatchRequest::Decode(std::string_view data) {
@@ -62,15 +65,7 @@ Result<BatchRequest> BatchRequest::Decode(std::string_view data) {
 }
 
 std::string BatchResponse::Encode() const {
-  std::string out;
-  wire::Writer w(&out);
-  w.PutVarint(responses.size());
-  for (const Response& resp : responses) {
-    std::string encoded = resp.Encode();
-    w.PutVarint(encoded.size());
-    w.PutBytes(encoded);
-  }
-  return out;
+  return EncodeSlices(std::span<const Response>(responses));
 }
 
 Result<BatchResponse> BatchResponse::Decode(std::string_view data) {
@@ -102,13 +97,11 @@ Result<BatchResponse> BatchResponse::Decode(std::string_view data) {
 
 Request PackBatchRequest(std::span<const Request> ops, std::uint64_t seq,
                          bool server_origin) {
-  BatchRequest batch;
-  batch.ops.assign(ops.begin(), ops.end());
   Request carrier;
   carrier.op = OpCode::kBatch;
   carrier.seq = seq;
   carrier.server_origin = server_origin;
-  carrier.value = batch.Encode();
+  carrier.value = EncodeSlices(ops);
   return carrier;
 }
 
@@ -136,22 +129,21 @@ Result<std::vector<Response>> UnpackBatchResponse(const Response& carrier,
   return std::move(batch->responses);
 }
 
-std::vector<std::vector<Request>> ChunkBatch(std::span<const Request> ops,
-                                             std::size_t max_bytes) {
-  std::vector<std::vector<Request>> chunks;
-  std::vector<Request> current;
+std::vector<std::span<const Request>> ChunkBatch(std::span<const Request> ops,
+                                                 std::size_t max_bytes) {
+  std::vector<std::span<const Request>> chunks;
+  std::size_t begin = 0;
   std::size_t current_bytes = 0;
-  for (const Request& op : ops) {
-    std::size_t op_bytes = EncodedSliceSize(op.Encode());
-    if (!current.empty() && current_bytes + op_bytes > max_bytes) {
-      chunks.push_back(std::move(current));
-      current.clear();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::size_t op_bytes = SliceSize(ops[i].EncodedSize());
+    if (i > begin && current_bytes + op_bytes > max_bytes) {
+      chunks.push_back(ops.subspan(begin, i - begin));
+      begin = i;
       current_bytes = 0;
     }
-    current.push_back(op);
     current_bytes += op_bytes;
   }
-  if (!current.empty()) chunks.push_back(std::move(current));
+  if (begin < ops.size()) chunks.push_back(ops.subspan(begin));
   return chunks;
 }
 

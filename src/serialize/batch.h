@@ -54,10 +54,11 @@ Response PackBatchResponse(const BatchResponse& batch, std::uint64_t seq,
 Result<std::vector<Response>> UnpackBatchResponse(const Response& carrier,
                                                   std::size_t expected);
 
-// Greedily splits `ops` into chunks whose encoded payload stays under
-// `max_bytes` (always at least one op per chunk, so oversized single ops
-// still travel — the transport's own frame cap is the hard limit).
-std::vector<std::vector<Request>> ChunkBatch(std::span<const Request> ops,
-                                             std::size_t max_bytes);
+// Greedily splits `ops` into consecutive chunks whose encoded payload stays
+// under `max_bytes` (always at least one op per chunk, so oversized single
+// ops still travel — the transport's own frame cap is the hard limit). The
+// chunks view `ops`; sizes are computed, not encoded.
+std::vector<std::span<const Request>> ChunkBatch(std::span<const Request> ops,
+                                                 std::size_t max_bytes);
 
 }  // namespace zht

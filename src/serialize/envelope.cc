@@ -30,6 +30,11 @@ enum RespField : std::uint32_t {
   kRespRetryAfter = 8,
 };
 
+// Bytes of a length-delimited field with `len` payload bytes.
+std::size_t StringFieldSize(std::size_t len) {
+  return 1 + wire::VarintSize(len) + len;
+}
+
 }  // namespace
 
 std::string_view OpCodeName(OpCode op) {
@@ -131,7 +136,27 @@ std::uint64_t Request::DedupKey() const {
 
 std::string Request::Encode() const {
   std::string out;
-  wire::Writer w(&out);
+  out.reserve(EncodedSize());
+  EncodeTo(&out);
+  return out;
+}
+
+std::size_t Request::EncodedSize() const {
+  // One tag byte per field (every field number is below 16).
+  std::size_t n = 1 + wire::VarintSize(static_cast<std::uint64_t>(op));
+  if (seq != 0) n += 1 + wire::VarintSize(seq);
+  if (!key.empty()) n += StringFieldSize(key.size());
+  if (!value.empty()) n += StringFieldSize(value.size());
+  if (epoch != 0) n += 1 + wire::VarintSize(epoch);
+  if (partition != 0) n += 1 + wire::VarintSize(partition);
+  if (replica_index != 0) n += 1 + wire::VarintSize(replica_index);
+  if (server_origin) n += 2;
+  if (client_id != 0) n += 1 + wire::VarintSize(client_id);
+  return n;
+}
+
+void Request::EncodeTo(std::string* out) const {
+  wire::Writer w(out);
   w.PutVarintField(kReqOp, static_cast<std::uint64_t>(op));
   if (seq != 0) w.PutVarintField(kReqSeq, seq);
   if (!key.empty()) w.PutStringField(kReqKey, key);
@@ -141,7 +166,6 @@ std::string Request::Encode() const {
   if (replica_index != 0) w.PutVarintField(kReqReplicaIndex, replica_index);
   if (server_origin) w.PutVarintField(kReqServerOrigin, 1);
   if (client_id != 0) w.PutVarintField(kReqClientId, client_id);
-  return out;
 }
 
 Result<Request> Request::Decode(std::string_view data) {
@@ -222,7 +246,28 @@ Result<Request> Request::Decode(std::string_view data) {
 
 std::string Response::Encode() const {
   std::string out;
-  wire::Writer w(&out);
+  out.reserve(EncodedSize());
+  EncodeTo(&out);
+  return out;
+}
+
+std::size_t Response::EncodedSize() const {
+  std::size_t n = 0;
+  if (seq != 0) n += 1 + wire::VarintSize(seq);
+  if (status != 0) {
+    n += 1 + wire::VarintSize(static_cast<std::uint32_t>(status));
+  }
+  if (!value.empty()) n += StringFieldSize(value.size());
+  if (epoch != 0) n += 1 + wire::VarintSize(epoch);
+  if (!membership.empty()) n += StringFieldSize(membership.size());
+  if (!redirect_host.empty()) n += StringFieldSize(redirect_host.size());
+  if (redirect_port != 0) n += 1 + wire::VarintSize(redirect_port);
+  if (retry_after_us != 0) n += 1 + wire::VarintSize(retry_after_us);
+  return n;
+}
+
+void Response::EncodeTo(std::string* out) const {
+  wire::Writer w(out);
   if (seq != 0) w.PutVarintField(kRespSeq, seq);
   if (status != 0) {
     w.PutVarintField(kRespStatus, static_cast<std::uint64_t>(
@@ -236,7 +281,6 @@ std::string Response::Encode() const {
   }
   if (redirect_port != 0) w.PutVarintField(kRespRedirectPort, redirect_port);
   if (retry_after_us != 0) w.PutVarintField(kRespRetryAfter, retry_after_us);
-  return out;
 }
 
 Result<Response> Response::Decode(std::string_view data) {

@@ -81,6 +81,10 @@ struct Request {
   std::uint64_t DedupKey() const;
 
   std::string Encode() const;
+  // Appends the encoding to `out`; EncodedSize() is exactly the bytes it
+  // adds, so callers packing many messages into one buffer size it once.
+  void EncodeTo(std::string* out) const;
+  std::size_t EncodedSize() const;
   static Result<Request> Decode(std::string_view data);
 
   bool operator==(const Request&) const = default;
@@ -104,6 +108,8 @@ struct Response {
   bool ok() const { return status == 0; }
 
   std::string Encode() const;
+  void EncodeTo(std::string* out) const;  // as Request::EncodeTo
+  std::size_t EncodedSize() const;
   static Result<Response> Decode(std::string_view data);
 
   bool operator==(const Response&) const = default;

@@ -18,6 +18,17 @@ enum class WireType : std::uint8_t {
   kFixed64 = 1,
 };
 
+// Bytes PutVarint writes for `value`; lets encoders size their output
+// before writing it.
+inline std::size_t VarintSize(std::uint64_t value) {
+  std::size_t n = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 // ---- Writer ---------------------------------------------------------------
 
 class Writer {

@@ -191,6 +191,25 @@ TEST(MembershipTest, DeltaAheadOfReceiverRejected) {
   EXPECT_FALSE(status.ok());
 }
 
+// A table whose epoch already covers a join it never saw (here it moved a
+// partition on its own at that epoch) skips the join's instance record in a
+// delta; the delta's move of a partition to that instance must then be
+// refused, not stored as an owner the table cannot look up.
+TEST(MembershipTest, DeltaNamingAnUnknownOwnerRejected) {
+  auto table = MembershipTable::CreateUniform(32, Addresses(4));
+  MembershipTable receiver = table;
+  const std::uint32_t since = table.epoch();
+  const InstanceId added =
+      table.AddInstance(NodeAddress{"10.0.0.99", 50099}, 9);
+  table.SetOwner(7, added);
+  receiver.SetOwner(3, 1);
+  const InstanceId owner = receiver.OwnerOf(7);
+  EXPECT_EQ(receiver.ApplyUpdate(table.EncodeDelta(since)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(receiver.OwnerOf(7), owner);
+  EXPECT_EQ(receiver.ReplicaChain(7, 1).front(), owner);
+}
+
 TEST(MembershipTest, CorruptUpdateRejected) {
   auto table = MembershipTable::CreateUniform(32, Addresses(4));
   EXPECT_FALSE(table.ApplyUpdate("garbage").ok());

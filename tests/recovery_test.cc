@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <string>
@@ -16,6 +17,8 @@
 #include "common/rng.h"
 #include "core/local_cluster.h"
 #include "history_checker.h"
+#include "net/fault_injection.h"
+#include "net/loopback.h"
 
 namespace zht {
 namespace {
@@ -360,6 +363,181 @@ TEST(RecoveryTest, AntiEntropyCleanReplicasMoveNoPairData) {
   EXPECT_EQ(after.started, before.started);
   EXPECT_EQ(after.pairs, before.pairs);
   EXPECT_EQ(after.retries, before.retries);
+}
+
+// Synchronous replication legs: a primary and its secondary on the
+// loopback network, the primary's peer link behind a fault plan so a test
+// can hold legs in flight. Built by hand (not LocalCluster) so a test can
+// destroy the primary while its legs are still queued.
+class SyncLaneTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    addresses_ = {NodeAddress{"loop", 1}, NodeAddress{"loop", 2}};
+    table_ = MembershipTable::CreateUniform(8, addresses_);
+    for (InstanceId i = 0; i < 2; ++i) {
+      transports_.push_back(std::make_unique<FaultInjectingTransport>(
+          std::make_unique<LoopbackTransport>(&network_), plan_,
+          addresses_[i]));
+      ZhtServerOptions options;
+      options.self = i;
+      options.cluster.num_replicas = 1;
+      servers_.push_back(
+          std::make_unique<ZhtServer>(table_, options, transports_[i].get()));
+      network_.Register(addresses_[i], servers_[i]->AsyncHandler());
+    }
+  }
+
+  void TearDown() override {
+    for (const NodeAddress& address : addresses_) network_.Unregister(address);
+  }
+
+  // The n-th key whose partition instance 0 owns (chain [0, 1]).
+  std::string KeyOfPrimary(const std::string& prefix, int n = 0) {
+    for (int i = 0; i < 100000; ++i) {
+      std::string key = prefix + std::to_string(i);
+      if (table_.OwnerOf(table_.PartitionOfKey(key)) == 0 && n-- == 0) {
+        return key;
+      }
+    }
+    ADD_FAILURE() << "no key owned by instance 0";
+    return "";
+  }
+
+  Request Write(OpCode op, const std::string& key, const std::string& value) {
+    Request request;
+    request.op = op;
+    request.seq = ++seq_;
+    request.key = key;
+    request.value = value;
+    request.epoch = table_.epoch();
+    return request;
+  }
+
+  // Holds the first `count` calls to the secondary for `delay` each.
+  void HoldLegs(Nanos delay, std::uint64_t count) {
+    FaultRule rule;
+    rule.kind = FaultKind::kDelay;
+    rule.to = addresses_[1];
+    rule.delay = delay;
+    rule.max_faults = count;
+    rule_ = plan_->AddRule(rule);
+  }
+
+  // Blocks until the fault plan has delayed `count` calls in total (the
+  // held leg is on the wire) or 5 s pass.
+  void AwaitDelays(std::uint64_t count) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (plan_->stats().delays < count &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(plan_->stats().delays, count);
+  }
+
+  std::vector<NodeAddress> addresses_;
+  MembershipTable table_;
+  LoopbackNetwork network_;
+  std::shared_ptr<FaultPlan> plan_ = std::make_shared<FaultPlan>(/*seed=*/13);
+  std::vector<std::unique_ptr<ClientTransport>> transports_;
+  std::vector<std::unique_ptr<ZhtServer>> servers_;
+  std::uint64_t seq_ = 0;
+  int rule_ = 0;
+};
+
+// Two writes to one key, the first one's leg held on the wire: the second
+// write's leg must not overtake it, or the secondary ends up holding the
+// older value (register) or the appends in the wrong order (ledger).
+TEST_F(SyncLaneTest, LegsOfOneKeyReachTheSecondaryInApplyOrder) {
+  for (OpCode op : {OpCode::kInsert, OpCode::kAppend}) {
+    SCOPED_TRACE(std::string(OpCodeName(op)));
+    const std::string key =
+        KeyOfPrimary(op == OpCode::kInsert ? "register-" : "ledger-");
+    const std::uint64_t delays = plan_->stats().delays;
+    HoldLegs(200 * kNanosPerMilli, 1);
+    std::thread first([&] {
+      EXPECT_TRUE(servers_[0]->Handle(Write(op, key, "a;")).ok());
+    });
+    AwaitDelays(delays + 1);  // the first leg is applied and held
+    EXPECT_TRUE(servers_[0]->Handle(Write(op, key, "b;")).ok());
+    first.join();
+    plan_->RemoveRule(rule_);
+    for (auto& server : servers_) server->FlushAsyncReplication();
+
+    const PartitionId partition = table_.PartitionOfKey(key);
+    const auto primary = servers_[0]->PartitionPairs(partition);
+    EXPECT_EQ(primary, servers_[1]->PartitionPairs(partition));
+    const auto it = std::find_if(primary.begin(), primary.end(),
+                                 [&](const auto& kv) { return kv.first == key; });
+    ASSERT_NE(it, primary.end());
+    EXPECT_EQ(it->second, op == OpCode::kInsert ? "b;" : "a;b;");
+  }
+}
+
+// Writes queued behind a held carrier: FlushAsyncReplication returns only
+// once every lane is empty, and each write is acked exactly once, after its
+// leg landed. The queued legs leave together, in one carrier.
+TEST_F(SyncLaneTest, FlushDrainsEveryLaneAndAcksEachWriteOnce) {
+  constexpr int kWrites = 24;
+  HoldLegs(100 * kNanosPerMilli, 1);
+  std::vector<std::atomic<int>> fired(kWrites);
+  std::atomic<int> acked_ok{0};
+  for (int i = 0; i < kWrites; ++i) {
+    servers_[0]->HandleAsync(
+        Write(OpCode::kInsert, KeyOfPrimary("flush-", i), "v"),
+        [&, i](Response&& resp) {
+          fired[i].fetch_add(1);
+          if (resp.ok()) acked_ok.fetch_add(1);
+        });
+  }
+  servers_[0]->FlushAsyncReplication();
+  for (int i = 0; i < kWrites; ++i) EXPECT_EQ(fired[i].load(), 1) << i;
+  EXPECT_EQ(acked_ok.load(), kWrites);
+  for (PartitionId p = 0; p < table_.num_partitions(); ++p) {
+    EXPECT_EQ(servers_[0]->PartitionPairs(p), servers_[1]->PartitionPairs(p))
+        << "partition " << p;
+  }
+
+  // Read back over STATS' source: every leg in a carrier, none failed, and
+  // at least one carrier held more than one leg.
+  const MetricsSnapshot snapshot = servers_[0]->MetricsSnapshotNow();
+  const MetricValue* batch = snapshot.Find("server.replication.sync_batch");
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->histogram.sum, static_cast<std::uint64_t>(kWrites));
+  EXPECT_LT(batch->histogram.count, static_cast<std::uint64_t>(kWrites));
+  EXPECT_GT(batch->histogram.max, 1u);
+  EXPECT_EQ(snapshot.ValueOf("server.replication.sync_failed"), 0);
+}
+
+// Destroying the primary while legs wait behind a held carrier: the
+// destructor drains every lane first, so each write's callback fires
+// exactly once and the secondary holds every acked write.
+TEST_F(SyncLaneTest, DestroyingThePrimaryCompletesEveryQueuedWrite) {
+  constexpr int kWrites = 24;
+  HoldLegs(100 * kNanosPerMilli, 2);
+  std::vector<std::atomic<int>> fired(kWrites);
+  std::atomic<int> acked_ok{0};
+  std::vector<std::string> keys;
+  for (int i = 0; i < kWrites; ++i) {
+    keys.push_back(KeyOfPrimary("teardown-", i));
+    servers_[0]->HandleAsync(Write(OpCode::kInsert, keys.back(), "v"),
+                             [&, i](Response&& resp) {
+                               fired[i].fetch_add(1);
+                               if (resp.ok()) acked_ok.fetch_add(1);
+                             });
+  }
+  network_.Unregister(addresses_[0]);
+  servers_[0].reset();
+  for (int i = 0; i < kWrites; ++i) EXPECT_EQ(fired[i].load(), 1) << i;
+  EXPECT_EQ(acked_ok.load(), kWrites);
+  for (const std::string& key : keys) {
+    Request lookup = Write(OpCode::kLookup, key, "");
+    lookup.server_origin = true;  // read the replica directly
+    lookup.replica_index = 1;
+    const Response resp = servers_[1]->Handle(std::move(lookup));
+    EXPECT_TRUE(resp.ok()) << key;
+    EXPECT_EQ(resp.value, "v") << key;
+  }
 }
 
 }  // namespace

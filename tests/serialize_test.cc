@@ -205,7 +205,9 @@ OpCode RandomKnownOp(Rng& rng) {
   }
 }
 
-// Property sweep: random requests of every op round-trip exactly.
+// Property sweep: random requests of every op round-trip exactly, and
+// EncodedSize() (which batch and frame encoders size their buffers by)
+// equals the encoding's length.
 class EnvelopeFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EnvelopeFuzzTest, RandomRoundTrip) {
@@ -220,9 +222,25 @@ TEST_P(EnvelopeFuzzTest, RandomRoundTrip) {
     req.partition = static_cast<std::uint32_t>(rng.Below(1u << 20));
     req.replica_index = static_cast<std::uint8_t>(rng.Below(8));
     req.server_origin = rng.Chance(0.5);
+    req.client_id = rng.Chance(0.5) ? rng.Next() : 0;
+    EXPECT_EQ(req.EncodedSize(), req.Encode().size());
     auto decoded = Request::Decode(req.Encode());
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, req);
+
+    Response resp;
+    resp.seq = rng.Chance(0.5) ? rng.Next() : 0;
+    resp.status = static_cast<std::int32_t>(rng.Below(13));
+    resp.value = rng.AsciiString(rng.Below(300));
+    resp.epoch = static_cast<std::uint32_t>(rng.Next());
+    resp.membership = rng.AsciiString(rng.Below(20));
+    resp.redirect_host = rng.AsciiString(rng.Below(16));
+    resp.redirect_port = static_cast<std::uint16_t>(rng.Below(65536));
+    resp.retry_after_us = static_cast<std::uint32_t>(rng.Below(1u << 20));
+    EXPECT_EQ(resp.EncodedSize(), resp.Encode().size());
+    auto decoded_resp = Response::Decode(resp.Encode());
+    ASSERT_TRUE(decoded_resp.ok());
+    EXPECT_EQ(*decoded_resp, resp);
   }
 }
 

@@ -527,7 +527,9 @@ TEST_F(ZhtServerUnitTest, StatsCountersTrackScriptedOps) {
             1u);
 }
 
-// Replication fan-out lands in the histogram and sync/async counters.
+// Replication fan-out lands in the histogram and sync/async counters; the
+// sync leg (to an address nothing listens on) travels alone in its lane's
+// carrier, fails, and is counted while the write is still acked.
 TEST_F(ZhtServerUnitTest, StatsReplicationMetrics) {
   auto server = MakeServer(0, /*replicas=*/2);
   std::string key = KeyOwnedBy(0);
@@ -543,6 +545,11 @@ TEST_F(ZhtServerUnitTest, StatsReplicationMetrics) {
   EXPECT_EQ(snapshot.ValueOf("server.replication.async"), 1);
   EXPECT_EQ(snapshot.ValueOf("replications_sync"), 1);
   EXPECT_EQ(snapshot.ValueOf("replications_async"), 1);
+  const MetricValue* carriers = snapshot.Find("server.replication.sync_batch");
+  ASSERT_NE(carriers, nullptr);
+  EXPECT_EQ(carriers->histogram.count, 1u);
+  EXPECT_EQ(carriers->histogram.sum, 1u);
+  EXPECT_EQ(snapshot.ValueOf("server.replication.sync_failed"), 1);
 }
 
 }  // namespace
